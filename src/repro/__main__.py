@@ -285,6 +285,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.metrics_output:
         args.metrics = True
+    if args.experiment == "serve" and args.workers > 0:
+        # Sharded serving has no retry or degraded mode; refuse rather
+        # than silently serve without them.
+        unsupported = [
+            flag
+            for flag, given in (
+                ("--retries", args.retries > 1),
+                ("--degraded-score", args.degraded_score is not None),
+            )
+            if given
+        ]
+        if unsupported:
+            parser.error(
+                f"{' and '.join(unsupported)} not supported with --workers "
+                "(sharded serving has no retry or degraded mode)"
+            )
 
     if args.experiment == "table2":
         from repro.experiments import table2
@@ -425,13 +441,6 @@ def _serve(args) -> int:
     if args.workers > 0:
         from repro.serve import ShardedInferenceService
 
-        if retry_policy is not None or args.degraded_score is not None:
-            print(
-                "note: --retries/--degraded-score apply to in-process "
-                "serving only; sharded workers redispatch on death and "
-                "cool down per-shard breakers instead",
-                file=sys.stderr,
-            )
         service = ShardedInferenceService(
             scorer,
             workers=args.workers,

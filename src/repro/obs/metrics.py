@@ -202,6 +202,20 @@ class CounterMetric:
         with self._lock:
             self._value += n
 
+    def inc_many(self, increments: Iterable[float]) -> None:
+        """Add each increment in order under one lock acquisition.
+
+        The running total sums the increments in the same order as one
+        :meth:`inc` per increment, so a float counter stays
+        bit-identical to the one-at-a-time path.
+        """
+        increments = list(increments)
+        if any(n < 0 for n in increments):
+            raise ValueError("counter increments must be >= 0")
+        with self._lock:
+            for n in increments:
+                self._value += n
+
     @property
     def value(self) -> int:
         """The current monotonically accumulated count."""
@@ -307,16 +321,33 @@ class HistogramMetric:
         v = float(value)
         index = bisect_left(self._bounds, v)
         with self._lock:
-            self._bucket_counts[index] += 1
-            self._count += 1
-            self._sum += v
-            if v < self._min:
-                self._min = v
-            if v > self._max:
-                self._max = v
-            self._reservoir.append(v)
-            if self._values is not None:
-                self._values[value] += 1
+            self._record(index, v, value)
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record every value, in order, under one lock acquisition.
+
+        Equivalent to calling :meth:`observe` once per value: the
+        running sum adds the values in the same order, so it is
+        bit-identical to the one-at-a-time path.
+        """
+        points = [(float(value), value) for value in values]
+        indices = [bisect_left(self._bounds, v) for v, _ in points]
+        with self._lock:
+            for index, (v, value) in zip(indices, points):
+                self._record(index, v, value)
+
+    def _record(self, index: int, v: float, value: float) -> None:
+        """Fold one observation in (caller holds the lock)."""
+        self._bucket_counts[index] += 1
+        self._count += 1
+        self._sum += v
+        if v < self._min:
+            self._min = v
+        if v > self._max:
+            self._max = v
+        self._reservoir.append(v)
+        if self._values is not None:
+            self._values[value] += 1
 
     @property
     def count(self) -> int:

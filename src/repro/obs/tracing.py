@@ -34,6 +34,7 @@ Tracing can be globally disabled with :func:`configure`; a disabled
 ``span`` costs one attribute read and no timestamps.
 """
 
+import functools
 import os
 import threading
 import time
@@ -249,8 +250,13 @@ def reset_thread_state() -> None:
     _local.trace_id = ""
 
 
+@functools.lru_cache(maxsize=1024)
 def span_metric_name(name: str) -> str:
-    """Registry histogram name for span ``name``."""
+    """Registry histogram name for span ``name``.
+
+    Memoized: span names are fixed strings in code, so sanitizing each
+    one once spares every span two regex passes.
+    """
     return f"span_{sanitize_metric_name(name)}_seconds"
 
 

@@ -12,11 +12,12 @@ provided the model is deterministic per window (see
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-_MISS = object()
+#: What :meth:`LruResultCache.lookup_many` returns for an absent key.
+MISS = object()
 
 
 def content_key(model_id: str, features: np.ndarray) -> bytes:
@@ -32,11 +33,26 @@ def content_key(model_id: str, features: np.ndarray) -> bytes:
         deterministic model.
     """
     arr = np.ascontiguousarray(features, dtype=np.float64)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(model_id.encode())
-    digest.update(str(arr.shape).encode())
-    digest.update(arr.tobytes())
-    return digest.digest()
+    return content_keys(model_id, arr[None])[0]
+
+
+def content_keys(model_id: str, matrix: np.ndarray) -> List[bytes]:
+    """:func:`content_key` of every row of ``matrix``, in one pass.
+
+    The digest state after the model id and row shape is shared by all
+    rows, so it is hashed once and copied per row; each key equals
+    ``content_key(model_id, row)`` byte for byte.
+    """
+    arr = np.ascontiguousarray(matrix, dtype=np.float64)
+    prefix = hashlib.blake2b(digest_size=16)
+    prefix.update(model_id.encode())
+    prefix.update(str(arr.shape[1:]).encode())
+    keys = []
+    for row in arr:
+        digest = prefix.copy()
+        digest.update(row.tobytes())
+        keys.append(digest.digest())
+    return keys
 
 
 class LruResultCache:
@@ -57,20 +73,41 @@ class LruResultCache:
 
     def lookup(self, key: bytes) -> Tuple[bool, Optional[Any]]:
         """``(hit, value)`` for ``key``; a hit refreshes its recency."""
+        value = self.lookup_many((key,))[0]
+        return (False, None) if value is MISS else (True, value)
+
+    def lookup_many(self, keys: Sequence[bytes]) -> List[Any]:
+        """The cached value of each key, or :data:`MISS`, under one lock.
+
+        Keys are looked up in order; a hit refreshes its recency and
+        counts in ``hits``, a miss counts in ``misses``.
+        """
+        out = []
         with self._lock:
-            value = self._entries.get(key, _MISS)
-            if value is _MISS:
-                self.misses += 1
-                return False, None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return True, value
+            for key in keys:
+                value = self._entries.get(key, MISS)
+                if value is MISS:
+                    self.misses += 1
+                else:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                out.append(value)
+        return out
 
     def put(self, key: bytes, value: Any) -> None:
         """Insert (or refresh) ``key``, evicting the LRU entry if full."""
+        self.put_many(((key, value),))
+
+    def put_many(self, items: Iterable[Tuple[bytes, Any]]) -> None:
+        """Insert (or refresh) each ``(key, value)`` pair under one lock.
+
+        Pairs are inserted in order, then least-recently-used entries
+        are evicted down to capacity.
+        """
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
+            for key, value in items:
+                self._entries[key] = value
+                self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
@@ -97,4 +134,4 @@ class LruResultCache:
         return hits / total if total else 0.0
 
 
-__all__ = ["LruResultCache", "content_key"]
+__all__ = ["MISS", "LruResultCache", "content_key", "content_keys"]

@@ -2,16 +2,22 @@
 
 Architecture (DESIGN.md §9)::
 
-    submit() ── cache? ──> bounded queue ──> MicroBatcher ──> model
-        │          │            │                │             │
-        │          hit          Full ->          │       (n, f) batch
-        │          │         QueueFullError      │             │
-        └── Future <┴───────────────────────────────── results ┘
+    score_many(chunk) / submit(row)
+        │
+      admit ── one cache lookup ──> hits resolve at once
+        │
+        └─ all misses ──> bounded queue ──> MicroBatcher ──> model
+           (or QueueFullError,                                │
+            none enqueued)                              (n, f) batch
+                                                              │
+    Futures <── complete: one cache put_many, one observe_many┘
 
 Concurrency model: callers submit from any thread; ``workers`` daemon
 threads drain the shared bounded queue through a
 :class:`~repro.serve.batcher.MicroBatcher` and resolve the per-request
-futures. Backpressure is by rejection — a full queue raises
+futures. A ``score_many`` chunk is admitted as one operation
+(:meth:`_ServingCore._admit`), and ``submit`` is its one-row case.
+Backpressure is by rejection — a full queue raises
 :class:`~repro.errors.QueueFullError` at submission time instead of
 growing without bound — and every request may carry a deadline that is
 enforced both before batching (an expired request never occupies a batch
@@ -24,7 +30,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,11 +42,12 @@ from repro.errors import (
     ServiceClosedError,
     TransientScorerError,
 )
-from repro.obs import MetricsRegistry, observe_span, span, trace_context
+from repro.obs import MetricsRegistry, observe_span, span
 from repro.obs import hwcounters
-from repro.obs.flight import flight_recorder, new_trace_id
-from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest
-from repro.serve.cache import LruResultCache, content_key
+from repro.obs.flight import flight_recorder
+from repro.obs.ids import new_trace_ids
+from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest, enqueue_all
+from repro.serve.cache import MISS, LruResultCache, content_keys
 from repro.serve.resilience import (
     STATE_CODES,
     CircuitBreaker,
@@ -64,7 +71,220 @@ def _resolve_batch_fn(model) -> BatchFunction:
     )
 
 
-class InferenceService:
+class _ServingCore:
+    """Admission and result fan-out shared by both serving tiers.
+
+    :class:`InferenceService` and
+    :class:`~repro.serve.sharding.ShardedInferenceService` differ only
+    in where a batch is scored; both admit requests through
+    :meth:`_admit` and resolve scored batches through :meth:`_complete`.
+    A subclass provides ``stats``, ``cache``, ``model_id``, ``_clock``,
+    the ``_started``/``_closed`` flags, and :meth:`_route`.
+    """
+
+    #: Compute content keys even with the cache off (the sharded tier
+    #: routes on them, so equal rows stay on one shard).
+    _keys_always = False
+
+    @property
+    def clock(self) -> Callable[[], float]:
+        """The service's monotonic time source (single-clock contract).
+
+        Everything that compares against a service deadline — the
+        batcher, the breaker cooldown, the load generator — must read
+        this clock, never ``time.monotonic`` directly.
+        """
+        return self._clock
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def score(
+        self, features: np.ndarray, timeout_s: Optional[float] = None
+    ) -> Union[float, np.ndarray]:
+        """Submit one row and block for its result."""
+        return self.submit(features, timeout_s=timeout_s).result()
+
+    def _route(
+        self, misses: List[ServeRequest]
+    ) -> List[Tuple[str, "queue.Queue[ServeRequest]", List[ServeRequest]]]:
+        """``(queue name, queue, requests)`` parts the misses go to."""
+        raise NotImplementedError
+
+    def _admit(
+        self,
+        features: np.ndarray,
+        timeout_s: Optional[float],
+        ndim: int,
+    ) -> List["Future"]:
+        """Admit a 1-D row (``ndim=1``) or an ``(n, f)`` chunk at once.
+
+        In one pass: mint the request ids, compute the content keys,
+        look every key up under one cache lock, bump each counter once,
+        and enqueue all of the chunk's misses — or raise
+        :class:`QueueFullError` having enqueued none of them. One
+        ``serve.submit`` span and one ``cache_hit`` / ``cache_miss`` /
+        ``enqueue`` flight event cover the chunk; each carries the
+        ``trace_ids`` of the rows it concerns, so
+        :func:`repro.obs.traces.assemble_traces` still yields one trace
+        per row.
+
+        Returns:
+            One future per row, in row order.
+        """
+        if self._closed or not self._started:
+            raise ServiceClosedError(
+                "service is closed" if self._closed else "service not started"
+            )
+        array = np.ascontiguousarray(features, dtype=np.float64)
+        if array.ndim != ndim:
+            raise ValueError(
+                f"features must be {ndim}-D, got shape {array.shape}"
+            )
+        matrix = array.reshape(1, -1) if ndim == 1 else array
+        n = matrix.shape[0]
+        if n == 0:
+            return []
+        stats = self.stats
+        stats.count("submitted", n)
+
+        now = self._clock()
+        deadline = None if timeout_s is None else now + timeout_s
+        requests = [
+            ServeRequest(
+                features=row, deadline=deadline, enqueued_at=now, trace_id=trace_id
+            )
+            for row, trace_id in zip(matrix, new_trace_ids(n))
+        ]
+        recorder = flight_recorder()
+        with span(
+            "serve.submit",
+            registry=stats.registry,
+            trace_ids=[request.trace_id for request in requests],
+        ):
+            misses = requests
+            if self.cache is not None or self._keys_always:
+                for request, key in zip(
+                    requests, content_keys(self.model_id, matrix)
+                ):
+                    request.cache_key = key
+            if self.cache is not None:
+                values = self.cache.lookup_many(
+                    [request.cache_key for request in requests]
+                )
+                hits, misses = [], []
+                for request, value in zip(requests, values):
+                    if value is MISS:
+                        misses.append(request)
+                    else:
+                        hits.append((request, value))
+                if hits:
+                    stats.count("cache_hits", len(hits))
+                    stats.count("completed", len(hits))
+                    stats.record_latencies([self._clock() - now] * len(hits))
+                    recorder.record(
+                        "cache_hit",
+                        trace_ids=[request.trace_id for request, _ in hits],
+                    )
+                    for request, value in hits:
+                        request.future.set_result(value)
+                if misses:
+                    stats.count("cache_misses", len(misses))
+                    recorder.record(
+                        "cache_miss",
+                        trace_ids=[request.trace_id for request in misses],
+                    )
+            if misses:
+                self._enqueue(misses, timeout_s)
+        return [request.future for request in requests]
+
+    def _enqueue(
+        self, misses: List[ServeRequest], timeout_s: Optional[float]
+    ) -> None:
+        """Enqueue every miss on its routed queue, or none of them."""
+        parts = self._route(misses)
+        trace_ids = [request.trace_id for request in misses]
+        full = enqueue_all([(target, part) for _, target, part in parts])
+        if full is not None:
+            name, target, part = parts[full]
+            self.stats.count("rejected_queue_full", len(misses))
+            flight_recorder().record(
+                "queue_full",
+                trace_ids=trace_ids,
+                queue=name,
+                capacity=target.maxsize,
+            )
+            raise QueueFullError(
+                f"{name} is at capacity ({target.maxsize}): no room for "
+                f"{len(part)} more rows"
+            )
+        flight_recorder().record(
+            "enqueue",
+            trace_ids=trace_ids,
+            deadline_in_s=timeout_s,
+            queue_depth=self.stats.queue_depth,
+        )
+
+    def _expire(self, request: ServeRequest) -> None:
+        """Fail a request whose deadline lapsed while it queued."""
+        self.stats.count("expired_before_batch")
+        flight_recorder().record(
+            "deadline_expired", trace_id=request.trace_id, phase="queued"
+        )
+        request.future.set_exception(
+            DeadlineExceededError("deadline expired while queued")
+        )
+
+    def _complete(
+        self,
+        batch: List[ServeRequest],
+        results: np.ndarray,
+        request_energy_nj: Optional[np.ndarray],
+    ) -> None:
+        """Resolve a scored batch: one cache put, one histogram update.
+
+        Every result feeds the cache (even one that arrives after its
+        deadline) and every request's energy is added to the energy
+        counter in request order, so the totals match scoring the rows
+        one at a time bit for bit.
+        """
+        stats = self.stats
+        now = self._clock()
+        if results.ndim == 1:
+            values = np.asarray(results, dtype=np.float64).tolist()
+        else:
+            values = [np.array(row) for row in results]
+        if self.cache is not None:
+            self.cache.put_many(
+                (request.cache_key, value)
+                for request, value in zip(batch, values)
+                if request.cache_key is not None
+            )
+        if request_energy_nj is not None:
+            stats.record_energies(request_energy_nj.tolist())
+        done = []
+        for request, value in zip(batch, values):
+            if request.expired(now):
+                stats.count("expired_after_batch")
+                flight_recorder().record(
+                    "deadline_expired", trace_id=request.trace_id, phase="scored"
+                )
+                request.future.set_exception(
+                    DeadlineExceededError("deadline expired during scoring")
+                )
+            else:
+                done.append((request, value))
+        if done:
+            stats.count("completed", len(done))
+            stats.record_latencies([now - request.enqueued_at for request, _ in done])
+            for request, value in done:
+                request.future.set_result(value)
+
+
+class InferenceService(_ServingCore):
     """Coalesces concurrent scoring requests into engine batches.
 
     Args:
@@ -195,16 +415,6 @@ class InferenceService:
         self._started = False
         self._closed = False
 
-    @property
-    def clock(self) -> Callable[[], float]:
-        """The service's monotonic time source (single-clock contract).
-
-        Everything that compares against a service deadline — the
-        batcher, the breaker cooldown, the load generator — must read
-        this clock, never ``time.monotonic`` directly.
-        """
-        return self._clock
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -244,12 +454,6 @@ class InferenceService:
             if worker.is_alive():
                 worker.join()
 
-    def __enter__(self) -> "InferenceService":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
@@ -259,6 +463,8 @@ class InferenceService:
         timeout_s: Optional[float] = None,
     ) -> "Future":
         """Queue one feature row for scoring.
+
+        The one-row case of :meth:`score_many`'s chunk admission.
 
         Args:
             features: 1-D feature row.
@@ -275,88 +481,28 @@ class InferenceService:
             QueueFullError: the bounded queue is at capacity.
             ValueError: ``features`` is not 1-D.
         """
-        if self._closed or not self._started:
-            raise ServiceClosedError(
-                "service is closed" if self._closed else "service not started"
-            )
-        row = np.ascontiguousarray(features, dtype=np.float64)
-        if row.ndim != 1:
-            raise ValueError(f"features must be 1-D, got shape {row.shape}")
-        self.stats.count("submitted")
-
-        now = self._clock()
-        request = ServeRequest(
-            features=row,
-            deadline=None if timeout_s is None else now + timeout_s,
-            enqueued_at=now,
-            trace_id=new_trace_id(),
-        )
-        recorder = flight_recorder()
-        with trace_context(request.trace_id):
-            with span("serve.submit", registry=self.stats.registry):
-                if self.cache is not None:
-                    request.cache_key = content_key(self.model_id, row)
-                    hit, value = self.cache.lookup(request.cache_key)
-                    if hit:
-                        self.stats.count("cache_hits")
-                        self.stats.count("completed")
-                        self.stats.record_latency(self._clock() - now)
-                        recorder.record("cache_hit", trace_id=request.trace_id)
-                        request.future.set_result(value)
-                        return request.future
-                    self.stats.count("cache_misses")
-                    recorder.record("cache_miss", trace_id=request.trace_id)
-                try:
-                    self._queue.put_nowait(request)
-                except queue.Full:
-                    self.stats.count("rejected_queue_full")
-                    recorder.record(
-                        "queue_full",
-                        trace_id=request.trace_id,
-                        capacity=self._queue.maxsize,
-                    )
-                    raise QueueFullError(
-                        f"request queue is at capacity ({self._queue.maxsize})"
-                    ) from None
-                recorder.record(
-                    "enqueue",
-                    trace_id=request.trace_id,
-                    deadline_in_s=timeout_s,
-                    queue_depth=self._queue.qsize(),
-                )
-        return request.future
-
-    def score(
-        self, features: np.ndarray, timeout_s: Optional[float] = None
-    ) -> Union[float, np.ndarray]:
-        """Submit one row and block for its result."""
-        return self.submit(features, timeout_s=timeout_s).result()
+        return self._admit(features, timeout_s, ndim=1)[0]
 
     def score_many(
         self,
         features: np.ndarray,
         timeout_s: Optional[float] = None,
     ) -> np.ndarray:
-        """Submit every row of ``(n, f)`` and gather results in order."""
-        matrix = np.asarray(features, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {matrix.shape}")
-        futures = [self.submit(row, timeout_s=timeout_s) for row in matrix]
+        """Score every row of ``(n, f)`` and gather results in order.
+
+        The chunk is admitted as one operation: either every cache miss
+        is queued or :class:`QueueFullError` is raised with none queued
+        (so ``n`` must fit in the queue's free space).
+        """
+        futures = self._admit(features, timeout_s, ndim=2)
         return np.asarray([future.result() for future in futures])
+
+    def _route(self, misses):
+        return [("request queue", self._queue, misses)]
 
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def _expire(self, request: ServeRequest) -> None:
-        """Fail a request whose deadline lapsed while it queued."""
-        self.stats.count("expired_before_batch")
-        flight_recorder().record(
-            "deadline_expired", trace_id=request.trace_id, phase="queued"
-        )
-        request.future.set_exception(
-            DeadlineExceededError("deadline expired while queued")
-        )
-
     def _auto_flight_dump(self, reason: str) -> None:
         """Dump the flight recorder when an incident trigger fires."""
         if self.flight_dump_path is None:
@@ -455,7 +601,7 @@ class InferenceService:
             self._fail_batch(batch, error, "request_failed")
             return
 
-        request_energy_nj = self._attribute_energy(activity, len(batch))
+        request_energy_nj = attribute_batch_energy(activity, len(batch))
         hw_totals = activity.totals() if activity.runs else None
         if hw_totals is not None:
             self.stats.record_hw_totals(hw_totals)
@@ -471,33 +617,7 @@ class InferenceService:
             ),
         )
 
-        now = self._clock()
-        for index, (request, row) in enumerate(zip(batch, results)):
-            value = float(row) if np.ndim(row) == 0 else np.array(row)
-            if self.cache is not None and request.cache_key is not None:
-                self.cache.put(request.cache_key, value)
-            if request_energy_nj is not None:
-                self.stats.record_energy(float(request_energy_nj[index]))
-            if request.expired(now):
-                self.stats.count("expired_after_batch")
-                recorder.record(
-                    "deadline_expired",
-                    trace_id=request.trace_id,
-                    phase="scored",
-                )
-                request.future.set_exception(
-                    DeadlineExceededError("deadline expired during scoring")
-                )
-                continue
-            self.stats.count("completed")
-            self.stats.record_latency(now - request.enqueued_at)
-            request.future.set_result(value)
-
-    @staticmethod
-    def _attribute_energy(
-        collector: "hwcounters.ActivityCollector", batch_size: int
-    ) -> Optional[np.ndarray]:
-        return attribute_batch_energy(collector, batch_size)
+        self._complete(batch, results, request_energy_nj)
 
 
 def attribute_batch_energy(
@@ -543,7 +663,7 @@ class ServiceBackedScorer:
         self.timeout_s = timeout_s
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """Scores of a ``(n, f)`` matrix, served row by row."""
+        """Scores of a ``(n, f)`` matrix, one request per row."""
         matrix = np.asarray(features, dtype=np.float64)
         if matrix.ndim == 1:
             matrix = matrix[None, :]

@@ -5,13 +5,19 @@ batch on the calling process's engines. This module scales the same
 request surface across *worker processes*, one per simulated chip
 assembly (DESIGN.md §14)::
 
-    submit() ── cache? ──> HashRing ──> shard queue ──> MicroBatcher
-        │          │      (model_id,        │               │
-        │          hit     row key)         │          dispatcher thread
-        │          │                        │               │
-        │          │                     breaker         mp.Queue
-        │          │                        │               │
-        └─ Future <┴──── results, ledgers, energy ──── worker process
+    score_many(chunk) / submit(row)
+        │
+      admit ── cache? ──> HashRing ──> shard queues ──> MicroBatcher
+        │        │       (model_id,    (all misses       │
+        │       hit       row key)      or none)    dispatcher thread
+        │        │                                       │
+        │        │                                breaker, mp.Queue
+        │        │                                       │
+        └─ Futures <──── results, ledgers, energy ──── worker process
+
+Admission and result fan-out are the in-process service's own
+(:class:`~repro.serve.service._ServingCore`); only the routing of a
+chunk's misses onto shard queues and the worker round trip live here.
 
 Design points:
 
@@ -46,25 +52,27 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
-    DeadlineExceededError,
-    QueueFullError,
     ServiceClosedError,
     TransientScorerError,
     WorkerDiedError,
 )
-from repro.obs import MetricsRegistry, hwcounters, span, trace_context
-from repro.obs.flight import flight_recorder, new_trace_id
+from repro.obs import MetricsRegistry, hwcounters, span
+from repro.obs.flight import flight_recorder
 from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest
 from repro.serve.cache import LruResultCache, content_key
 from repro.serve.resilience import STATE_CODES, CircuitBreaker
-from repro.serve.service import _resolve_batch_fn, attribute_batch_energy
+from repro.serve.service import (
+    _resolve_batch_fn,
+    _ServingCore,
+    attribute_batch_energy,
+)
 from repro.serve.stats import ServiceStats
 
 
@@ -244,7 +252,7 @@ class _Shard:
             mp_queue.join_thread()
 
 
-class ShardedInferenceService:
+class ShardedInferenceService(_ServingCore):
     """Serve one model from sharded worker processes (multi-chip tier).
 
     Drop-in for :class:`~repro.serve.service.InferenceService` where it
@@ -279,6 +287,10 @@ class ShardedInferenceService:
         max_redispatches: batches redispatched to a respawned worker
             before the batch fails with :class:`WorkerDiedError`.
     """
+
+    # The content key doubles as the routing key, so equal rows stay on
+    # one shard even with the cache disabled.
+    _keys_always = True
 
     def __init__(
         self,
@@ -389,11 +401,6 @@ class ShardedInferenceService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def clock(self) -> Callable[[], float]:
-        """The service's monotonic time source (single-clock contract)."""
-        return self._clock
-
     def _on_breaker_state(self, shard_index: int, state: str) -> None:
         self._breaker_gauge.set(
             sum(
@@ -451,12 +458,6 @@ class ShardedInferenceService:
         for shard in self._shards:
             shard.terminate()
 
-    def __enter__(self) -> "ShardedInferenceService":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
@@ -476,96 +477,39 @@ class ShardedInferenceService:
         future; raises :class:`ServiceClosedError` /
         :class:`QueueFullError` / :class:`ValueError` at submission.
         """
-        if self._closed or not self._started:
-            raise ServiceClosedError(
-                "service is closed" if self._closed else "service not started"
-            )
-        row = np.ascontiguousarray(features, dtype=np.float64)
-        if row.ndim != 1:
-            raise ValueError(f"features must be 1-D, got shape {row.shape}")
-        self.stats.count("submitted")
-
-        now = self._clock()
-        request = ServeRequest(
-            features=row,
-            deadline=None if timeout_s is None else now + timeout_s,
-            enqueued_at=now,
-            trace_id=new_trace_id(),
-        )
-        # The content key is computed unconditionally: it doubles as the
-        # routing key, so equal rows stay on one shard even with the
-        # cache disabled.
-        request.cache_key = content_key(self.model_id, row)
-        recorder = flight_recorder()
-        with trace_context(request.trace_id):
-            with span("serve.submit", registry=self.stats.registry):
-                if self.cache is not None:
-                    hit, value = self.cache.lookup(request.cache_key)
-                    if hit:
-                        self.stats.count("cache_hits")
-                        self.stats.count("completed")
-                        self.stats.record_latency(self._clock() - now)
-                        recorder.record("cache_hit", trace_id=request.trace_id)
-                        request.future.set_result(value)
-                        return request.future
-                    self.stats.count("cache_misses")
-                    recorder.record("cache_miss", trace_id=request.trace_id)
-
-                shard = self._shards[self.ring.shard_for(request.cache_key)]
-                try:
-                    shard.requests.put_nowait(request)
-                except queue.Full:
-                    self.stats.count("rejected_queue_full")
-                    recorder.record(
-                        "queue_full",
-                        trace_id=request.trace_id,
-                        shard=shard.index,
-                        capacity=shard.requests.maxsize,
-                    )
-                    raise QueueFullError(
-                        f"shard {shard.index} queue is at capacity "
-                        f"({shard.requests.maxsize})"
-                    ) from None
-                recorder.record(
-                    "enqueue",
-                    trace_id=request.trace_id,
-                    shard=shard.index,
-                    deadline_in_s=timeout_s,
-                    queue_depth=shard.requests.qsize(),
-                )
-        return request.future
-
-    def score(
-        self, features: np.ndarray, timeout_s: Optional[float] = None
-    ) -> Union[float, np.ndarray]:
-        """Submit one row and block for its result."""
-        return self.submit(features, timeout_s=timeout_s).result()
+        return self._admit(features, timeout_s, ndim=1)[0]
 
     def score_many(
         self,
         features: np.ndarray,
         timeout_s: Optional[float] = None,
     ) -> np.ndarray:
-        """Submit every row of ``(n, f)`` and gather results in order."""
-        matrix = np.asarray(features, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {matrix.shape}")
-        futures = [self.submit(row, timeout_s=timeout_s) for row in matrix]
+        """Score every row of ``(n, f)`` and gather results in order.
+
+        The chunk is admitted as one operation: its misses are routed
+        to their home shards and either all enqueued or, if any shard
+        queue lacks room for its share, none are
+        (:class:`QueueFullError`).
+        """
+        futures = self._admit(features, timeout_s, ndim=2)
         return np.asarray([future.result() for future in futures])
+
+    def _route(self, misses):
+        by_shard: Dict[int, List[ServeRequest]] = {}
+        for request in misses:
+            by_shard.setdefault(
+                self.ring.shard_for(request.cache_key), []
+            ).append(request)
+        # Shard order: concurrent admissions lock shard queues in one
+        # fixed order (see enqueue_all).
+        return [
+            (f"shard {index} queue", self._shards[index].requests, by_shard[index])
+            for index in sorted(by_shard)
+        ]
 
     # ------------------------------------------------------------------
     # Dispatcher side (one thread per shard)
     # ------------------------------------------------------------------
-    def _expire(self, request: ServeRequest) -> None:
-        """Fail a request whose deadline lapsed while it queued."""
-        self.stats.count("expired_before_batch")
-        flight_recorder().record(
-            "deadline_expired", trace_id=request.trace_id, phase="queued"
-        )
-        request.future.set_exception(
-            DeadlineExceededError("deadline expired while queued")
-        )
-
     def _dispatch_loop(self, shard: _Shard) -> None:
         while True:
             batch = shard.batcher.collect(block_s=0.02)
@@ -761,27 +705,7 @@ class ShardedInferenceService:
             ),
         )
 
-        now = self._clock()
-        for index, (request, row) in enumerate(zip(batch, results)):
-            value = float(row) if np.ndim(row) == 0 else np.array(row)
-            if self.cache is not None and request.cache_key is not None:
-                self.cache.put(request.cache_key, value)
-            if request_energy_nj is not None:
-                self.stats.record_energy(float(request_energy_nj[index]))
-            if request.expired(now):
-                self.stats.count("expired_after_batch")
-                recorder.record(
-                    "deadline_expired",
-                    trace_id=request.trace_id,
-                    phase="scored",
-                )
-                request.future.set_exception(
-                    DeadlineExceededError("deadline expired during scoring")
-                )
-                continue
-            self.stats.count("completed")
-            self.stats.record_latency(now - request.enqueued_at)
-            request.future.set_result(value)
+        self._complete(batch, results, request_energy_nj)
 
 
 __all__ = ["HashRing", "ShardedInferenceService"]

@@ -13,7 +13,7 @@ registry alongside the simulator and detection metrics — that is what
 ``python -m repro serve --metrics`` does.
 """
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.obs import MetricsRegistry, summarize_spans
 
@@ -98,6 +98,10 @@ class ServiceStats:
         """Record one completed request's submit-to-result latency."""
         self._latency.observe(seconds)
 
+    def record_latencies(self, seconds: Sequence[float]) -> None:
+        """Record the latencies of a group of completed requests."""
+        self._latency.observe_many(seconds)
+
     def record_hw_totals(
         self, totals: Dict[str, int], shard: Optional[int] = None
     ) -> None:
@@ -125,11 +129,20 @@ class ServiceStats:
 
     def record_energy(self, nanojoules: float) -> None:
         """Attribute ``nanojoules`` of simulated energy to one request."""
-        self._energy.observe(nanojoules)
+        self.record_energies((nanojoules,))
+
+    def record_energies(self, nanojoules: Sequence[float]) -> None:
+        """Attribute simulated energy to a batch's requests, in order.
+
+        ``nanojoules[i]`` is request ``i``'s share. The total counter
+        adds the shares one by one in request order, so it is the same
+        float as one :meth:`record_energy` per request.
+        """
+        self._energy.observe_many(nanojoules)
         self.registry.counter(
             f"{self.prefix}_energy_nanojoules_total",
             help="total simulated energy attributed to scored requests (nJ)",
-        ).inc(nanojoules)
+        ).inc_many(nanojoules)
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> int:

@@ -399,11 +399,16 @@ class BatchEngine:
         self._last_duplicated = 0
 
     # ------------------------------------------------------------------
+    @property
+    def stochastic(self) -> bool:
+        """Whether any core draws from the lane generators."""
+        return bool(self._stochastic)
+
     def run(
         self,
         ticks: int,
         rasters: Mapping[str, np.ndarray],
-        lane_rngs: Sequence[np.random.Generator],
+        lane_rngs: Sequence[Optional[np.random.Generator]],
         reset: bool = True,
     ) -> BatchSimulationResult:
         """Simulate ``ticks`` ticks for ``len(lane_rngs)`` lanes at once.
@@ -413,7 +418,10 @@ class BatchEngine:
             rasters: per-port boolean rasters of shape
                 ``(batch, ticks, width)`` (see
                 :func:`normalize_batch_inputs`).
-            lane_rngs: one generator per lane for stochastic thresholds.
+            lane_rngs: one generator per lane for stochastic thresholds;
+                entries may be ``None`` when the engine has no
+                stochastic cores (see :attr:`stochastic`), since only
+                those draw.
             reset: start from zero state (default) or continue the
                 engine's persistent state (batch size must match).
 

@@ -379,10 +379,19 @@ class Simulator:
         if ticks < 0:
             raise ValueError(f"ticks must be >= 0, got {ticks}")
         batch, rasters = normalize_batch_inputs(self.system, ticks, inputs, batch)
-        lane_rngs = spawn_generators(self._rng_spec, batch)
+        engine = self._batch_engine
+        if engine is not None:
+            # Only stochastic cores draw from the lane generators, and
+            # spawning costs ~20 us a lane: a deterministic system runs
+            # on placeholders and never spawns.
+            lane_rngs = (
+                spawn_generators(self._rng_spec, batch)
+                if engine.stochastic
+                else [None] * batch
+            )
+            return engine.run(ticks, rasters, lane_rngs, reset=True)
 
-        if self._batch_engine is not None:
-            return self._batch_engine.run(ticks, rasters, lane_rngs, reset=True)
+        lane_rngs = spawn_generators(self._rng_spec, batch)
 
         result = BatchSimulationResult(
             ticks=ticks,

@@ -57,6 +57,28 @@ class TestCli:
     def test_video_bad_shape_rejected(self, capsys):
         assert main(["video", "--video-shape", "huge"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--retries", "3"], ["--retries"]),
+            (["--degraded-score", "-1"], ["--degraded-score"]),
+            (
+                ["--retries", "3", "--degraded-score", "-1"],
+                ["--retries", "--degraded-score"],
+            ),
+        ],
+    )
+    def test_serve_rejects_options_sharding_cannot_honour(
+        self, capsys, flags, named
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--workers", "2", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        for flag in named:
+            assert flag in err
+        assert "--workers" in err
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig7"])

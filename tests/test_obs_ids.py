@@ -19,6 +19,7 @@ from repro.obs.ids import (
     id_namespace,
     new_span_id,
     new_trace_id,
+    new_trace_ids,
 )
 
 
@@ -34,6 +35,8 @@ class TestShapes:
         for _ in range(32):
             assert re.fullmatch(r"[0-9a-f]{16}", new_trace_id())
             assert re.fullmatch(r"[0-9a-f]{16}", new_span_id())
+        for trace_id in new_trace_ids(32):
+            assert re.fullmatch(r"[0-9a-f]{16}", trace_id)
 
     def test_namespaced_ids_carry_the_prefix(self):
         configure_namespace("s3")
@@ -41,6 +44,8 @@ class TestShapes:
         for _ in range(32):
             assert re.fullmatch(pattern, new_trace_id())
             assert re.fullmatch(pattern, new_span_id())
+        for trace_id in new_trace_ids(32):
+            assert re.fullmatch(pattern, trace_id)
 
     def test_namespace_is_queryable(self):
         assert id_namespace() is None
@@ -49,7 +54,8 @@ class TestShapes:
 
     def test_ids_are_unique_within_a_process(self):
         ids = {new_trace_id() for _ in range(512)}
-        assert len(ids) == 512
+        ids.update(new_trace_ids(512))
+        assert len(ids) == 1024
 
     def test_validation_rejects_unsafe_namespaces(self):
         for bad in ("", "a-b", " s0", "s0 ", "-"):

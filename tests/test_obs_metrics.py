@@ -37,6 +37,16 @@ class TestCounter:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             CounterMetric("c").inc(-1)
+        with pytest.raises(ValueError):
+            CounterMetric("c").inc_many([1, -1])
+
+    def test_inc_many_adds_floats_in_order(self):
+        shares = [0.1, 0.2, 0.3, 1e-17, 7.0]
+        batched, single = CounterMetric("c"), CounterMetric("c")
+        batched.inc_many(shares)
+        for share in shares:
+            single.inc(share)
+        assert batched.value == single.value  # bit-equal, not approximate
 
     def test_concurrent_increments_lose_nothing(self):
         counter = CounterMetric("c")
@@ -86,6 +96,15 @@ class TestHistogram:
         assert snap["min"] == 0.5
         assert snap["max"] == 3.0
         assert snap["mean"] == pytest.approx(5.0 / 3)
+
+    def test_observe_many_equals_one_at_a_time(self):
+        values = [0.1, 0.7, 1e-9, 3.3, 0.2, 1.0]
+        batched = HistogramMetric("h", buckets=(0.5, 1.0), track_values=True)
+        single = HistogramMetric("h", buckets=(0.5, 1.0), track_values=True)
+        batched.observe_many(values)
+        for v in values:
+            single.observe(v)
+        assert batched.export_state() == single.export_state()  # sum bit-equal
 
     def test_buckets_cumulative_upper_inclusive(self):
         hist = HistogramMetric("h", buckets=(1.0, 2.0))

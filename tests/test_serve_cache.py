@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve.cache import LruResultCache, content_key
+from repro.serve.cache import MISS, LruResultCache, content_key, content_keys
 
 
 class TestContentKey:
@@ -27,6 +27,26 @@ class TestContentKey:
         row32 = np.arange(4, dtype=np.float32)
         row64 = np.arange(4, dtype=np.float64)
         assert content_key("m", row32) == content_key("m", row64)
+
+
+    def test_batch_keys_match_the_digest_definition(self):
+        """``content_keys`` (one shared digest prefix) and
+        ``content_key`` both equal blake2b(model id | row shape | row
+        bytes) — the key format cached entries were written under."""
+        import hashlib
+
+        matrix = np.random.default_rng(1).random((5, 7))
+
+        def reference(row):
+            digest = hashlib.blake2b(digest_size=16)
+            digest.update(b"m")
+            digest.update(str(row.shape).encode())
+            digest.update(row.tobytes())
+            return digest.digest()
+
+        expected = [reference(row) for row in matrix]
+        assert content_keys("m", matrix) == expected
+        assert [content_key("m", row) for row in matrix] == expected
 
 
 class TestLruResultCache:
@@ -60,6 +80,20 @@ class TestLruResultCache:
         cache.put(key, 2)
         assert len(cache) == 1
         assert cache.lookup(key)[1] == 2
+
+    def test_batched_calls_match_one_at_a_time(self):
+        keys = [bytes([i]) for i in range(6)]
+        batched, single = LruResultCache(4), LruResultCache(4)
+        batched.put_many((key, i) for i, key in enumerate(keys))
+        for i, key in enumerate(keys):
+            single.put(key, i)
+        probe = [keys[0], keys[3], keys[5], keys[3]]
+        assert batched.lookup_many(probe) == [
+            value if hit else MISS
+            for hit, value in (single.lookup(key) for key in probe)
+        ]
+        assert (batched.hits, batched.misses) == (single.hits, single.misses)
+        assert list(batched._entries) == list(single._entries)
 
     def test_clear_keeps_counters(self):
         cache = LruResultCache(2)

@@ -1,5 +1,6 @@
 """Tests for the inference service: batching, backpressure, deadlines."""
 
+import sys
 import threading
 import time
 
@@ -262,6 +263,195 @@ class TestCacheIntegration:
     def test_cache_capacity_zero_disables(self):
         service = InferenceService(_sum_model, cache_capacity=0)
         assert service.cache is None
+
+
+def _accounting(service):
+    """Everything chunk admission must keep equal to row-by-row serving."""
+    snapshot = service.stats.snapshot()
+    counters = snapshot["counters"]
+    return {
+        "counters": {
+            name: counters.get(name, 0)
+            for name in ("submitted", "completed", "cache_hits", "cache_misses")
+        },
+        "latency_count": snapshot["latency_ms"]["count"],
+        "energy_count": snapshot["energy_nj"]["count"],
+        "energy_histogram_sum": snapshot["energy_nj"]["total"],
+        "energy_counter": service.stats.counter("energy_nanojoules"),
+    }
+
+
+class TestChunkAdmission:
+    """``score_many`` admits and completes a chunk as one operation."""
+
+    @staticmethod
+    def _energy_model():
+        from repro.serve import NApproxCellModel
+
+        return NApproxCellModel(window=8, engine="batch")
+
+    def test_chunk_equals_row_by_row(self):
+        from repro.serve import random_patch_rows
+
+        rows = random_patch_rows(10, rng=11)
+        with InferenceService(self._energy_model(), max_batch_size=4) as chunked:
+            first = chunked.score_many(rows)
+            second = chunked.score_many(rows)  # every row hits the cache
+            chunk_stats = _accounting(chunked)
+        with InferenceService(self._energy_model(), max_batch_size=4) as single:
+            per_row = []
+            for _ in range(2):
+                futures = [single.submit(row) for row in rows]
+                per_row.append(np.asarray([f.result(timeout=30) for f in futures]))
+            row_stats = _accounting(single)
+        assert np.array_equal(first, per_row[0])
+        assert np.array_equal(second, per_row[1])
+        assert chunk_stats == row_stats
+        assert chunk_stats["counters"] == {
+            "submitted": 20, "completed": 20, "cache_hits": 10, "cache_misses": 10,
+        }
+        assert chunk_stats["energy_count"] == 10
+        assert chunk_stats["energy_counter"] > 0.0
+
+    def test_one_trace_per_row(self):
+        from repro.obs import flight_recorder, trace_log
+        from repro.obs.traces import assemble_traces
+
+        trace_log().clear()
+        flight_recorder().clear()
+        rows = np.random.default_rng(12).random((5, 3))
+        with InferenceService(_sum_model, max_batch_size=2) as service:
+            service.score_many(rows)
+            service.score_many(rows)
+        traces = [
+            trace
+            for trace in assemble_traces()
+            if any(record.name == "serve.submit" for record in trace.spans)
+        ]
+        assert len(traces) == 10
+        kinds = [{event.kind for event in trace.events} for trace in traces]
+        assert all({"cache_miss", "enqueue", "score"} <= k for k in kinds[:5])
+        assert all(k == {"cache_hit"} for k in kinds[5:])
+        submit_spans = [
+            record for record in trace_log().entries()
+            if record.name == "serve.submit"
+        ]
+        assert len(submit_spans) == 2  # one admission span per chunk
+        assert len(submit_spans[0].attrs["trace_ids"]) == 5
+        trace_log().clear()
+        flight_recorder().clear()
+
+    def test_oversized_chunk_enqueues_nothing(self):
+        model = _BlockingModel()
+        service = InferenceService(
+            model, max_batch_size=1, max_wait_ms=0.0, queue_capacity=4,
+            cache_capacity=0,
+        ).start()
+        try:
+            service.submit(np.zeros(2))
+            assert model.entered.wait(timeout=5.0)
+            with pytest.raises(QueueFullError):
+                service.score_many(np.ones((5, 2)))
+            assert service.stats.queue_depth == 0
+            assert service.stats.counter("rejected_queue_full") == 5
+        finally:
+            model.release.set()
+            service.close()
+
+    def test_concurrent_chunks_are_all_or_nothing(self):
+        """8 producers race 3-row chunks into 8 free slots: exactly two
+        chunks fit, and every queued chunk is whole."""
+        model = _BlockingModel()
+        service = InferenceService(
+            model, max_batch_size=1, max_wait_ms=0.0, queue_capacity=8,
+            cache_capacity=0,
+        ).start()
+        chunks = [np.full((3, 2), float(c)) for c in range(8)]
+        outcomes = {}
+        barrier = threading.Barrier(8)
+
+        def produce(c):
+            barrier.wait()
+            try:
+                outcomes[c] = service.score_many(chunks[c])
+            except QueueFullError:
+                outcomes[c] = "rejected"
+
+        threads = [threading.Thread(target=produce, args=(c,)) for c in range(8)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the producers finely
+        try:
+            service.submit(np.zeros(2))
+            assert model.entered.wait(timeout=5.0)
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10.0
+            while (
+                service.stats.queue_depth
+                + service.stats.counter("rejected_queue_full")
+                < 24
+            ):
+                assert time.monotonic() < deadline, "producers never settled"
+                time.sleep(0.01)
+            queued = [request.features[0] for request in service._queue.queue]
+            assert len(queued) == 6
+            for c in set(queued):
+                assert queued.count(c) == 3  # a chunk is queued whole
+            assert service.stats.counter("rejected_queue_full") == 18
+        finally:
+            sys.setswitchinterval(switch_interval)
+            model.release.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        admitted = sorted(
+            c for c, out in outcomes.items() if not isinstance(out, str)
+        )
+        assert admitted == sorted(int(c) for c in set(queued))
+        for c in admitted:
+            assert np.array_equal(outcomes[c], chunks[c].sum(axis=1))
+
+    def test_chunk_deadline_expires_row_by_row(self):
+        from repro.obs import flight_recorder
+
+        flight_recorder().clear()
+        model = _BlockingModel()
+        service = InferenceService(
+            model, max_batch_size=1, max_wait_ms=0.0, cache_capacity=0
+        ).start()
+        errors = []
+
+        def score_chunk():
+            try:
+                service.score_many(np.ones((3, 2)), timeout_s=0.01)
+            except DeadlineExceededError as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=score_chunk)
+        try:
+            blocker = service.submit(np.zeros(2))
+            assert model.entered.wait(timeout=5.0)
+            caller.start()
+            settle_by = time.monotonic() + 10.0
+            while service.stats.queue_depth < 3:
+                assert time.monotonic() < settle_by, "chunk never queued"
+                time.sleep(0.005)
+            time.sleep(0.05)  # the deadline lapses while the worker is busy
+        finally:
+            model.release.set()
+            caller.join(timeout=10)
+        assert len(errors) == 1
+        assert blocker.result(timeout=5) == 0.0
+        service.close()
+        assert service.stats.counter("expired_before_batch") == 3
+        assert service.stats.counter("completed") == 1
+        expired = [
+            event for event in flight_recorder().events()
+            if event.kind == "deadline_expired"
+        ]
+        assert len({event.trace_id for event in expired}) == 3
+        assert all(event.attrs["phase"] == "queued" for event in expired)
 
 
 class TestLoadGenerator:

@@ -9,6 +9,8 @@ intentionally small so the suite stays fast.
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
+    DeadlineExceededError,
     QueueFullError,
     ServiceClosedError,
     TransientScorerError,
@@ -279,6 +282,119 @@ class TestEngineWorkloadParity:
         )
 
 
+class TestShardedChunkAdmission:
+    """The sharded tier admits chunks through the same path."""
+
+    def test_chunk_equals_row_by_row(self):
+        from tests.test_serve_service import _accounting
+
+        rows = random_patch_rows(10, rng=13)
+
+        def model():
+            return NApproxCellModel(window=8, engine="batch")
+
+        # One shard: its batches finish in queue order, so the energy
+        # counter sums the same floats in the same order in both arms.
+        with _sharded(model(), workers=1, max_batch_size=4,
+                      result_timeout_s=2.0) as chunked:
+            first = chunked.score_many(rows)
+            second = chunked.score_many(rows)
+            chunk_stats = _accounting(chunked)
+        with _sharded(model(), workers=1, max_batch_size=4,
+                      result_timeout_s=2.0) as single:
+            per_row = []
+            for _ in range(2):
+                futures = [single.submit(row) for row in rows]
+                per_row.append(np.asarray([f.result(timeout=30) for f in futures]))
+            row_stats = _accounting(single)
+        assert np.array_equal(first, per_row[0])
+        assert np.array_equal(second, per_row[1])
+        assert chunk_stats == row_stats
+        assert chunk_stats["counters"]["cache_hits"] == 10
+        assert chunk_stats["energy_counter"] > 0.0
+
+    def test_concurrent_chunks_are_all_or_nothing_across_shards(self):
+        """8 producers race 3-row chunks into two 4-slot shard queues
+        that never drain: every chunk is queued whole or not at all."""
+        service = _sharded(_Affine(), workers=2, queue_capacity=4,
+                           cache_capacity=0)
+        service._started = True  # never forked: nothing drains the queues
+        rng = np.random.default_rng(14)
+        chunks = [rng.random((3, 3)) for _ in range(8)]
+        outcomes = {}
+        barrier = threading.Barrier(8)
+
+        def produce(c):
+            barrier.wait()
+            try:
+                service.score_many(chunks[c])
+            except QueueFullError:
+                outcomes[c] = "rejected"
+            except ServiceClosedError:
+                outcomes[c] = "admitted"  # failed by close(drain=False)
+
+        threads = [threading.Thread(target=produce, args=(c,)) for c in range(8)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the producers finely
+        try:
+            for thread in threads:
+                thread.start()
+            settle_by = time.monotonic() + 10.0
+            while (
+                service.stats.queue_depth
+                + service.stats.counter("rejected_queue_full")
+                < 24
+            ):
+                assert time.monotonic() < settle_by, "producers never settled"
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        owner = {
+            row.tobytes(): c for c, chunk in enumerate(chunks) for row in chunk
+        }
+        queued = [
+            owner[request.features.tobytes()]
+            for shard in service._shards
+            for request in shard.requests.queue
+        ]
+        assert all(shard.requests.qsize() <= 4 for shard in service._shards)
+        for c in set(queued):
+            assert queued.count(c) == 3  # a chunk is queued whole
+        assert service.stats.counter("rejected_queue_full") == 24 - len(queued)
+        service.close(drain=False)
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(c for c, out in outcomes.items() if out == "admitted") == (
+            sorted(set(queued))
+        )
+
+    def test_chunk_deadline_expires_row_by_row(self):
+        service = _sharded(_Affine(), workers=1, cache_capacity=0)
+        service._started = True  # admit before any dispatcher runs
+        errors = []
+
+        def score_chunk():
+            try:
+                service.score_many(np.ones((3, 3)), timeout_s=0.01)
+            except DeadlineExceededError as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=score_chunk)
+        caller.start()
+        settle_by = time.monotonic() + 10.0
+        while service.stats.queue_depth < 3:
+            assert time.monotonic() < settle_by, "chunk never queued"
+            time.sleep(0.005)
+        time.sleep(0.05)  # the deadline lapses while nothing dispatches
+        service._started = False
+        with service:  # fork the worker; the dispatcher finds 3 expired rows
+            caller.join(timeout=10)
+        assert len(errors) == 1
+        assert service.stats.counter("expired_before_batch") == 3
+        assert service.stats.counter("dispatches") == 0
+
+
 class TestShardedTracing:
     """Distributed tracing and telemetry across the fork boundary."""
 
@@ -336,6 +452,23 @@ class TestShardedTracing:
             assert "serve.shard.worker.score" not in tree_names
         document = to_chrome_trace(traces)
         validate_chrome_trace(document)
+
+    def test_cached_chunk_rows_keep_one_trace_each(self):
+        from repro.obs.traces import assemble_traces
+
+        rows = np.random.default_rng(15).random((4, 3))
+        with _sharded(_Affine()) as service:
+            service.score_many(rows)
+            service.score_many(rows)  # all four hit the shared cache
+        traces = [
+            trace
+            for trace in assemble_traces()
+            if any(record.name == "serve.submit" for record in trace.spans)
+        ]
+        assert len(traces) == 8
+        kinds = [{event.kind for event in trace.events} for trace in traces]
+        assert all({"cache_miss", "enqueue"} <= k for k in kinds[:4])
+        assert all(k == {"cache_hit"} for k in kinds[4:])
 
     def test_worker_metrics_merge_with_shard_labels(self):
         """Worker-side registry deltas land in the parent registry

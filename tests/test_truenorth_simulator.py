@@ -129,3 +129,54 @@ class TestMultiLinePorts:
         raster = np.ones((1, 1), dtype=bool)
         result = sim.run(1, {"in": raster})
         assert result.spike_counts("out")[0] == 1  # one line -> 3 axons -> fires
+
+
+class TestLaneGenerators:
+    """``run_batch`` spawns lane generators only when a core draws."""
+
+    @staticmethod
+    def _counting_spawn(monkeypatch):
+        from repro.truenorth import simulator as simulator_module
+
+        calls = []
+        original = simulator_module.spawn_generators
+
+        def spawn(rng, n):
+            calls.append(n)
+            return original(rng, n)
+
+        monkeypatch.setattr(simulator_module, "spawn_generators", spawn)
+        return calls
+
+    @pytest.mark.parametrize("engine", ["batch", "event"])
+    def test_deterministic_system_never_spawns(self, monkeypatch, engine):
+        from tests.engine_systems import CASES_BY_NAME, batched_inputs
+
+        calls = self._counting_spawn(monkeypatch)
+        case = CASES_BY_NAME["random_deterministic"]
+        system = case.build()
+        inputs = batched_inputs(system, case.ticks, 4, seed=1, density=0.3)
+        lazy = Simulator(system, rng=case.sim_seed, engine=engine).run_batch(
+            case.ticks, inputs
+        )
+        assert calls == []
+        # Same rasters as the reference, which always spawns per lane.
+        reference = Simulator(system, rng=case.sim_seed).run_batch(
+            case.ticks, inputs
+        )
+        assert calls == [4]
+        for name, raster in reference.probe_spikes.items():
+            assert np.array_equal(lazy.probe_spikes[name], raster)
+
+    @pytest.mark.parametrize("engine", ["batch", "event"])
+    def test_stochastic_system_still_spawns(self, monkeypatch, engine):
+        from tests.engine_systems import CASES_BY_NAME, batched_inputs
+
+        calls = self._counting_spawn(monkeypatch)
+        case = CASES_BY_NAME["random_stochastic"]
+        system = case.build()
+        inputs = batched_inputs(system, case.ticks, 3, seed=2, density=0.3)
+        Simulator(system, rng=case.sim_seed, engine=engine).run_batch(
+            case.ticks, inputs
+        )
+        assert calls == [3]
