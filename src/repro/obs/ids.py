@@ -1,16 +1,17 @@
 """Fork-safe trace and span id minting.
 
 Every request gets a ``trace_id`` at submission and every span gets a
-``span_id`` at entry. Ids are random (uuid4-derived), which is fine in
-one process — but the sharded serving tier forks worker processes that
-mint their own ids, and two processes drawing from the same 16-hex-char
-space have no *structural* guarantee against collision (and a collision
-would silently merge two unrelated traces during assembly).
+``span_id`` at entry. Ids are random (drawn from ``os.urandom``), which
+is fine in one process — but the sharded serving tier forks worker
+processes that mint their own ids, and two processes drawing from the
+same 16-hex-char space have no *structural* guarantee against collision
+(and a collision would silently merge two unrelated traces during
+assembly).
 
-The fix is a per-process namespace: the parent mints bare
-``uuid4().hex[:16]`` ids, while each forked shard worker calls
-:func:`configure_namespace` with a per-shard prefix (``"s0"``, ``"s1"``,
-...) before minting anything. Namespaced ids look like
+The fix is a per-process namespace: the parent mints bare 16-hex-char
+ids, while each forked shard worker calls :func:`configure_namespace`
+with a per-shard prefix (``"s0"``, ``"s1"``, ...) before minting
+anything. Namespaced ids look like
 ``s0-3f9a1c2b4d5e`` — the ``-`` separator cannot appear in a bare hex
 id, so parent-minted and worker-minted ids are disjoint *by
 construction*, and two shards' ids are disjoint from each other by the
@@ -19,13 +20,12 @@ prefix. ``tests/test_obs_ids.py`` pins this across a real fork.
 
 import os
 import threading
-import uuid
 from typing import List, Optional
 
 _lock = threading.Lock()
 _namespace: Optional[str] = None
 
-#: Hex digits kept from the uuid when a namespace prefix is applied.
+#: Random hex digits kept when a namespace prefix is applied.
 NAMESPACED_HEX_DIGITS = 12
 
 
@@ -57,31 +57,8 @@ def id_namespace() -> Optional[str]:
         return _namespace
 
 
-def _mint() -> str:
-    with _lock:
-        namespace = _namespace
-    if namespace is None:
-        return uuid.uuid4().hex[:16]
-    return f"{namespace}-{uuid.uuid4().hex[:NAMESPACED_HEX_DIGITS]}"
-
-
-def new_trace_id() -> str:
-    """A fresh request trace id (namespaced when configured).
-
-    Bare ids are 16 hex chars; namespaced ids are
-    ``{namespace}-{12 hex chars}`` — the two shapes cannot collide.
-    """
-    return _mint()
-
-
-def new_trace_ids(n: int) -> List[str]:
-    """``n`` fresh trace ids minted in one pass.
-
-    Same shapes as :func:`new_trace_id` (bare 16 hex chars, or
-    ``{namespace}-{12 hex chars}``), drawn from one ``os.urandom`` call
-    instead of ``n`` uuid4s — the chunked serve admission path mints
-    one id per row this way.
-    """
+def _mint(n: int) -> List[str]:
+    """``n`` fresh ids drawn from one ``os.urandom`` call."""
     with _lock:
         namespace = _namespace
     width = 16 if namespace is None else NAMESPACED_HEX_DIGITS
@@ -92,9 +69,27 @@ def new_trace_ids(n: int) -> List[str]:
     return [f"{namespace}-{hex_id}" for hex_id in ids]
 
 
+def new_trace_id() -> str:
+    """A fresh request trace id (namespaced when configured).
+
+    Bare ids are 16 hex chars; namespaced ids are
+    ``{namespace}-{12 hex chars}`` — the two shapes cannot collide.
+    """
+    return _mint(1)[0]
+
+
+def new_trace_ids(n: int) -> List[str]:
+    """``n`` fresh trace ids minted in one pass.
+
+    Same shapes as :func:`new_trace_id`; the chunked serve admission
+    path mints one id per row this way.
+    """
+    return _mint(n)
+
+
 def new_span_id() -> str:
     """A fresh span id, from the same namespaced pool as trace ids."""
-    return _mint()
+    return _mint(1)[0]
 
 
 __all__ = [

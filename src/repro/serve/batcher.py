@@ -13,9 +13,8 @@ fill instantly and the wait never triggers.
 import queue
 import time
 from concurrent.futures import Future
-from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -77,36 +76,6 @@ class ServeRequest:
         scored, so ``timeout_s=0`` submissions could complete.
         """
         return self.deadline is not None and now >= self.deadline
-
-
-def enqueue_all(
-    parts: Sequence[Tuple["queue.Queue[ServeRequest]", Sequence[ServeRequest]]],
-) -> Optional[int]:
-    """Put every part's requests on its queue — all of them or none.
-
-    Holds every listed queue's lock at once, checks each has room for
-    its whole part, and only then enqueues — through ``queue.Queue``'s
-    own lock and ``_put`` hook, with one wake-up per request, as
-    ``Queue.put`` does. Each queue may appear once, and callers must
-    list queues in one fixed order (shard order) so concurrent
-    admissions cannot deadlock.
-
-    Returns:
-        ``None`` when every request was enqueued, else the index of the
-        first part whose queue lacked room — nothing was enqueued.
-    """
-    with ExitStack() as stack:
-        for target, _ in parts:
-            stack.enter_context(target.mutex)
-        for index, (target, requests) in enumerate(parts):
-            if 0 < target.maxsize < target._qsize() + len(requests):
-                return index
-        for target, requests in parts:
-            for request in requests:
-                target._put(request)
-            target.unfinished_tasks += len(requests)
-            target.not_empty.notify(len(requests))
-    return None
 
 
 class MicroBatcher:
@@ -184,4 +153,4 @@ class MicroBatcher:
         return batch
 
 
-__all__ = ["BatchPolicy", "MicroBatcher", "ServeRequest", "enqueue_all"]
+__all__ = ["BatchPolicy", "MicroBatcher", "ServeRequest"]

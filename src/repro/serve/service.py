@@ -3,7 +3,7 @@
 Architecture (DESIGN.md §9)::
 
     score_many(chunk) / submit(row)
-        │
+        │  (chunk sliced to at most queue_capacity rows)
       admit ── one cache lookup ──> hits resolve at once
         │
         └─ all misses ──> bounded queue ──> MicroBatcher ──> model
@@ -15,15 +15,15 @@ Architecture (DESIGN.md §9)::
 Concurrency model: callers submit from any thread; ``workers`` daemon
 threads drain the shared bounded queue through a
 :class:`~repro.serve.batcher.MicroBatcher` and resolve the per-request
-futures. A ``score_many`` chunk is admitted as one operation
-(:meth:`_ServingCore._admit`), and ``submit`` is its one-row case.
-Backpressure is by rejection — a full queue raises
-:class:`~repro.errors.QueueFullError` at submission time instead of
-growing without bound — and every request may carry a deadline that is
-enforced both before batching (an expired request never occupies a batch
-slot) and after scoring (a result that arrives too late resolves to
-:class:`~repro.errors.DeadlineExceededError`, though its value still
-feeds the cache).
+futures. A ``score_many`` chunk is admitted as one operation per slice
+of at most ``queue_capacity`` rows (:meth:`_ServingCore._admit`), and
+``submit`` is its one-row case. Backpressure is by rejection — a full
+queue raises :class:`~repro.errors.QueueFullError` at submission time
+instead of growing without bound — and every request may carry a
+deadline that is enforced both before batching (an expired request
+never occupies a batch slot) and after scoring (a result that arrives
+too late resolves to :class:`~repro.errors.DeadlineExceededError`,
+though its value still feeds the cache).
 """
 
 import queue
@@ -46,7 +46,7 @@ from repro.obs import MetricsRegistry, observe_span, span
 from repro.obs import hwcounters
 from repro.obs.flight import flight_recorder
 from repro.obs.ids import new_trace_ids
-from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest, enqueue_all
+from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest
 from repro.serve.cache import MISS, LruResultCache, content_keys
 from repro.serve.resilience import (
     STATE_CODES,
@@ -79,12 +79,9 @@ class _ServingCore:
     in where a batch is scored; both admit requests through
     :meth:`_admit` and resolve scored batches through :meth:`_complete`.
     A subclass provides ``stats``, ``cache``, ``model_id``, ``_clock``,
-    the ``_started``/``_closed`` flags, and :meth:`_route`.
+    ``_queue_capacity``, ``_admit_lock``, the ``_started``/``_closed``
+    flags, and :meth:`_route`.
     """
-
-    #: Compute content keys even with the cache off (the sharded tier
-    #: routes on them, so equal rows stay on one shard).
-    _keys_always = False
 
     @property
     def clock(self) -> Callable[[], float]:
@@ -102,6 +99,24 @@ class _ServingCore:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
+    def _score_sliced(
+        self, features: np.ndarray, timeout_s: Optional[float]
+    ) -> np.ndarray:
+        """``score_many`` for both services (see its docstring)."""
+        array = np.asarray(features)
+        step = self._queue_capacity
+        pieces = (
+            [array[start : start + step] for start in range(0, len(array), step)]
+            if array.ndim == 2 and len(array) > step
+            else [array]
+        )
+        results = []
+        for piece in pieces:
+            results.extend(
+                future.result() for future in self._admit(piece, timeout_s, ndim=2)
+            )
+        return np.asarray(results)
+
     def score(
         self, features: np.ndarray, timeout_s: Optional[float] = None
     ) -> Union[float, np.ndarray]:
@@ -110,8 +125,8 @@ class _ServingCore:
 
     def _route(
         self, misses: List[ServeRequest]
-    ) -> List[Tuple[str, "queue.Queue[ServeRequest]", List[ServeRequest]]]:
-        """``(queue name, queue, requests)`` parts the misses go to."""
+    ) -> List[Tuple[Optional[int], "queue.Queue[ServeRequest]", List[ServeRequest]]]:
+        """``(shard index or None, queue, requests)`` parts for the misses."""
         raise NotImplementedError
 
     def _admit(
@@ -126,11 +141,11 @@ class _ServingCore:
         look every key up under one cache lock, bump each counter once,
         and enqueue all of the chunk's misses — or raise
         :class:`QueueFullError` having enqueued none of them. One
-        ``serve.submit`` span and one ``cache_hit`` / ``cache_miss`` /
-        ``enqueue`` flight event cover the chunk; each carries the
-        ``trace_ids`` of the rows it concerns, so
-        :func:`repro.obs.traces.assemble_traces` still yields one trace
-        per row.
+        ``serve.submit`` span and one ``cache_hit`` / ``cache_miss``
+        flight event cover the chunk, plus one ``enqueue`` event per
+        target queue; each carries the ``trace_ids`` of the rows it
+        concerns, so :func:`repro.obs.traces.assemble_traces` still
+        yields one trace per row.
 
         Returns:
             One future per row, in row order.
@@ -166,17 +181,12 @@ class _ServingCore:
             trace_ids=[request.trace_id for request in requests],
         ):
             misses = requests
-            if self.cache is not None or self._keys_always:
-                for request, key in zip(
-                    requests, content_keys(self.model_id, matrix)
-                ):
-                    request.cache_key = key
             if self.cache is not None:
-                values = self.cache.lookup_many(
-                    [request.cache_key for request in requests]
-                )
+                keys = content_keys(self.model_id, matrix)
+                for request, key in zip(requests, keys):
+                    request.cache_key = key
                 hits, misses = [], []
-                for request, value in zip(requests, values):
+                for request, value in zip(requests, self.cache.lookup_many(keys)):
                     if value is MISS:
                         misses.append(request)
                     else:
@@ -204,29 +214,40 @@ class _ServingCore:
     def _enqueue(
         self, misses: List[ServeRequest], timeout_s: Optional[float]
     ) -> None:
-        """Enqueue every miss on its routed queue, or none of them."""
+        """Enqueue every miss on its routed queue, or none of them.
+
+        :meth:`_admit` is the only producer on the request queues and
+        the batchers only remove requests, so room checked under the
+        admission lock can only grow before the puts below it.
+        """
         parts = self._route(misses)
-        trace_ids = [request.trace_id for request in misses]
-        full = enqueue_all([(target, part) for _, target, part in parts])
-        if full is not None:
-            name, target, part = parts[full]
-            self.stats.count("rejected_queue_full", len(misses))
-            flight_recorder().record(
-                "queue_full",
-                trace_ids=trace_ids,
-                queue=name,
-                capacity=target.maxsize,
+        recorder = flight_recorder()
+        with self._admit_lock:
+            for shard, target, part in parts:
+                if target.qsize() + len(part) > target.maxsize:
+                    self.stats.count("rejected_queue_full", len(misses))
+                    recorder.record(
+                        "queue_full",
+                        trace_ids=[request.trace_id for request in misses],
+                        capacity=target.maxsize,
+                        **({} if shard is None else {"shard": shard}),
+                    )
+                    name = "request" if shard is None else f"shard {shard}"
+                    raise QueueFullError(
+                        f"{name} queue is at capacity ({target.maxsize}): "
+                        f"no room for {len(part)} more rows"
+                    )
+            for _, target, part in parts:
+                for request in part:
+                    target.put_nowait(request)
+        for shard, _, part in parts:
+            recorder.record(
+                "enqueue",
+                trace_ids=[request.trace_id for request in part],
+                deadline_in_s=timeout_s,
+                queue_depth=self.stats.queue_depth,
+                **({} if shard is None else {"shard": shard}),
             )
-            raise QueueFullError(
-                f"{name} is at capacity ({target.maxsize}): no room for "
-                f"{len(part)} more rows"
-            )
-        flight_recorder().record(
-            "enqueue",
-            trace_ids=trace_ids,
-            deadline_in_s=timeout_s,
-            queue_depth=self.stats.queue_depth,
-        )
 
     def _expire(self, request: ServeRequest) -> None:
         """Fail a request whose deadline lapsed while it queued."""
@@ -366,6 +387,8 @@ class InferenceService(_ServingCore):
         self.stats = ServiceStats(registry=registry)
         self._clock = clock
         self._queue: "queue.Queue[ServeRequest]" = queue.Queue(queue_capacity)
+        self._queue_capacity = queue_capacity
+        self._admit_lock = threading.Lock()
         self.stats.bind_queue(self._queue.qsize)
 
         cacheable = bool(getattr(model, "cacheable", True))
@@ -457,6 +480,8 @@ class InferenceService(_ServingCore):
     # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
+    # Each service class defines submit and score_many itself:
+    # perfbench's per-layer probes wrap each class's own attribute.
     def submit(
         self,
         features: np.ndarray,
@@ -490,15 +515,17 @@ class InferenceService(_ServingCore):
     ) -> np.ndarray:
         """Score every row of ``(n, f)`` and gather results in order.
 
-        The chunk is admitted as one operation: either every cache miss
-        is queued or :class:`QueueFullError` is raised with none queued
-        (so ``n`` must fit in the queue's free space).
+        Rows are admitted in slices of at most ``queue_capacity`` rows.
+        Each slice is one admission — every cache miss is queued, or
+        :class:`QueueFullError` is raised with none of that slice
+        queued — and the next slice is admitted once the previous one
+        has resolved, so a chunk larger than the queue still fits
+        through it. ``timeout_s`` runs from each slice's admission.
         """
-        futures = self._admit(features, timeout_s, ndim=2)
-        return np.asarray([future.result() for future in futures])
+        return self._score_sliced(features, timeout_s)
 
     def _route(self, misses):
-        return [("request queue", self._queue, misses)]
+        return [(None, self._queue, misses)]
 
     # ------------------------------------------------------------------
     # Worker side

@@ -66,7 +66,7 @@ from repro.errors import (
 from repro.obs import MetricsRegistry, hwcounters, span
 from repro.obs.flight import flight_recorder
 from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest
-from repro.serve.cache import LruResultCache, content_key
+from repro.serve.cache import LruResultCache, content_key, content_keys
 from repro.serve.resilience import STATE_CODES, CircuitBreaker
 from repro.serve.service import (
     _resolve_batch_fn,
@@ -288,10 +288,6 @@ class ShardedInferenceService(_ServingCore):
             before the batch fails with :class:`WorkerDiedError`.
     """
 
-    # The content key doubles as the routing key, so equal rows stay on
-    # one shard even with the cache disabled.
-    _keys_always = True
-
     def __init__(
         self,
         model,
@@ -344,6 +340,8 @@ class ShardedInferenceService(_ServingCore):
         self.stats = ServiceStats(registry=registry)
         self._clock = clock
         self.result_timeout_s = result_timeout_s
+        self._queue_capacity = queue_capacity
+        self._admit_lock = threading.Lock()
         self.max_redispatches = max_redispatches
 
         cacheable = bool(getattr(model, "cacheable", True))
@@ -486,25 +484,31 @@ class ShardedInferenceService(_ServingCore):
     ) -> np.ndarray:
         """Score every row of ``(n, f)`` and gather results in order.
 
-        The chunk is admitted as one operation: its misses are routed
-        to their home shards and either all enqueued or, if any shard
-        queue lacks room for its share, none are
-        (:class:`QueueFullError`).
+        Same contract as :meth:`InferenceService.score_many`; each
+        slice's misses are routed to their home shards and either all
+        enqueued or, if any shard queue lacks room for its share, none
+        are (:class:`QueueFullError`).
         """
-        futures = self._admit(features, timeout_s, ndim=2)
-        return np.asarray([future.result() for future in futures])
+        return self._score_sliced(features, timeout_s)
 
     def _route(self, misses):
+        # The content key doubles as the routing key, so equal rows stay
+        # on one shard even with the cache disabled (no key computed yet).
+        unkeyed = [request for request in misses if request.cache_key is None]
+        if unkeyed:
+            keys = content_keys(
+                self.model_id, np.stack([request.features for request in unkeyed])
+            )
+            for request, key in zip(unkeyed, keys):
+                request.cache_key = key
         by_shard: Dict[int, List[ServeRequest]] = {}
         for request in misses:
             by_shard.setdefault(
                 self.ring.shard_for(request.cache_key), []
             ).append(request)
-        # Shard order: concurrent admissions lock shard queues in one
-        # fixed order (see enqueue_all).
         return [
-            (f"shard {index} queue", self._shards[index].requests, by_shard[index])
-            for index in sorted(by_shard)
+            (index, self._shards[index].requests, part)
+            for index, part in sorted(by_shard.items())
         ]
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.errors import (
     QueueFullError,
     ServiceClosedError,
 )
-from repro.serve import InferenceService, closed_loop
+from repro.serve import InferenceService, ServiceBackedScorer, closed_loop
 from repro.serve.loadgen import LoadReport
 
 
@@ -341,7 +341,7 @@ class TestChunkAdmission:
         trace_log().clear()
         flight_recorder().clear()
 
-    def test_oversized_chunk_enqueues_nothing(self):
+    def test_chunk_beyond_free_space_enqueues_nothing(self):
         model = _BlockingModel()
         service = InferenceService(
             model, max_batch_size=1, max_wait_ms=0.0, queue_capacity=4,
@@ -350,13 +350,38 @@ class TestChunkAdmission:
         try:
             service.submit(np.zeros(2))
             assert model.entered.wait(timeout=5.0)
-            with pytest.raises(QueueFullError):
-                service.score_many(np.ones((5, 2)))
-            assert service.stats.queue_depth == 0
-            assert service.stats.counter("rejected_queue_full") == 5
+            queued = [service.submit(np.zeros(2)) for _ in range(2)]
+            with pytest.raises(QueueFullError, match="no room for 3"):
+                service.score_many(np.ones((3, 2)))
+            assert service.stats.queue_depth == 2
+            assert service.stats.counter("rejected_queue_full") == 3
         finally:
             model.release.set()
             service.close()
+        assert [future.result(timeout=5) for future in queued] == [0.0, 0.0]
+
+    def test_chunk_larger_than_queue_is_sliced(self):
+        from repro.obs import flight_recorder
+
+        flight_recorder().clear()
+        rows = np.random.default_rng(16).random((11, 3))
+        with InferenceService(
+            _sum_model, max_batch_size=2, queue_capacity=4, cache_capacity=0
+        ) as service:
+            served = service.score_many(rows)
+            adapted = ServiceBackedScorer(service).decision_function(rows)
+        assert np.array_equal(served, rows.sum(axis=1))
+        assert np.array_equal(adapted, served)
+        assert service.stats.counter("completed") == 22
+        assert service.stats.counter("rejected_queue_full") == 0
+        enqueues = [
+            event for event in flight_recorder().events()
+            if event.kind == "enqueue"
+        ]
+        assert [len(event.attrs["trace_ids"]) for event in enqueues] == [
+            4, 4, 3, 4, 4, 3,
+        ]
+        flight_recorder().clear()
 
     def test_concurrent_chunks_are_all_or_nothing(self):
         """8 producers race 3-row chunks into 8 free slots: exactly two

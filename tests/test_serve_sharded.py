@@ -394,6 +394,49 @@ class TestShardedChunkAdmission:
         assert service.stats.counter("expired_before_batch") == 3
         assert service.stats.counter("dispatches") == 0
 
+    def test_chunk_larger_than_shard_queue_is_sliced(self):
+        rows = np.random.default_rng(17).random((9, 3))
+        with _sharded(_Affine(), queue_capacity=2, cache_capacity=0) as service:
+            served = service.score_many(rows)
+        assert np.array_equal(served, rows[:, 0] * 10.0 + 1.0)
+        assert service.stats.counter("completed") == 9
+        assert service.stats.counter("rejected_queue_full") == 0
+
+    def test_flight_events_name_their_shard(self):
+        from repro.obs import flight_recorder
+
+        flight_recorder().clear()
+        service = _sharded(_Affine(), workers=2, queue_capacity=8,
+                           cache_capacity=0)
+        service._started = True  # never forked: nothing drains the queues
+        rows = np.random.default_rng(18).random((8, 3))
+        home = [service.shard_of(row) for row in rows]
+        service._admit(rows, None, ndim=2)  # score_many would wait on results
+        enqueues = [
+            event for event in flight_recorder().events()
+            if event.kind == "enqueue"
+        ]
+        assert sorted(event.attrs["shard"] for event in enqueues) == sorted(
+            set(home)
+        )
+        for event in enqueues:
+            queued = service._shards[event.attrs["shard"]].requests.queue
+            assert [request.trace_id for request in queued] == (
+                event.attrs["trace_ids"]
+            )
+        busiest = max(set(home), key=home.count)
+        with pytest.raises(QueueFullError, match=f"shard {busiest} queue"):
+            service.score_many(rows[[home.index(busiest)] * 5])
+        (rejected,) = [
+            event for event in flight_recorder().events()
+            if event.kind == "queue_full"
+        ]
+        assert rejected.attrs["shard"] == busiest
+        assert len(rejected.attrs["trace_ids"]) == 5
+        service._started = False
+        service._closed = True
+        flight_recorder().clear()
+
 
 class TestShardedTracing:
     """Distributed tracing and telemetry across the fork boundary."""

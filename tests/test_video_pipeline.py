@@ -199,6 +199,19 @@ class TestFanOut:
         ]
         assert small.windows_scored == large.windows_scored
 
+    def test_fanout_wider_than_queue_matches_unchunked(self):
+        sequence = _sequence("walk", n_frames=2)
+        narrow_queue = _run(
+            sequence,
+            service_kwargs=dict(queue_capacity=4),
+            max_inflight=128,
+            score_threshold=-1e9,
+        )
+        large = _run(sequence, max_inflight=1_000_000, score_threshold=-1e9)
+        assert [f.detections_key() for f in narrow_queue.frames] == [
+            f.detections_key() for f in large.frames
+        ]
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="min_levels"):
             VideoPipeline(
