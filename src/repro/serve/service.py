@@ -46,7 +46,7 @@ from repro.obs import MetricsRegistry, observe_span, span
 from repro.obs import hwcounters
 from repro.obs.flight import flight_recorder
 from repro.obs.ids import new_trace_ids
-from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest
+from repro.serve.batcher import BatchPolicy, MicroBatcher, ScoreCall, ServeRequest
 from repro.serve.cache import MISS, LruResultCache, content_keys
 from repro.serve.resilience import (
     STATE_CODES,
@@ -112,9 +112,12 @@ class _ServingCore:
         )
         results = []
         for piece in pieces:
-            results.extend(
-                future.result() for future in self._admit(piece, timeout_s, ndim=2)
-            )
+            call = ScoreCall()
+            futures = self._admit(piece, timeout_s, ndim=2, call=call)
+            try:
+                results.extend(future.result() for future in futures)
+            finally:
+                call.picked_up()
         return np.asarray(results)
 
     def score(
@@ -134,6 +137,7 @@ class _ServingCore:
         features: np.ndarray,
         timeout_s: Optional[float],
         ndim: int,
+        call: Optional[ScoreCall] = None,
     ) -> List["Future"]:
         """Admit a 1-D row (``ndim=1``) or an ``(n, f)`` chunk at once.
 
@@ -145,7 +149,9 @@ class _ServingCore:
         flight event cover the chunk, plus one ``enqueue`` event per
         target queue; each carries the ``trace_ids`` of the rows it
         concerns, so :func:`repro.obs.traces.assemble_traces` still
-        yields one trace per row.
+        yields one trace per row. The queued misses are counted on
+        ``call`` (a ``score_many`` slice) so the batcher can tell when
+        its caller is released.
 
         Returns:
             One future per row, in row order.
@@ -208,6 +214,10 @@ class _ServingCore:
                         trace_ids=[request.trace_id for request in misses],
                     )
             if misses:
+                if call is not None:
+                    call.pending = len(misses)
+                    for request in misses:
+                        request.call = call
                 self._enqueue(misses, timeout_s)
         return [request.future for request in requests]
 
@@ -261,6 +271,7 @@ class _ServingCore:
 
     def _complete(
         self,
+        batcher: MicroBatcher,
         batch: List[ServeRequest],
         results: np.ndarray,
         request_energy_nj: Optional[np.ndarray],
@@ -270,7 +281,8 @@ class _ServingCore:
         Every result feeds the cache (even one that arrives after its
         deadline) and every request's energy is added to the energy
         counter in request order, so the totals match scoring the rows
-        one at a time bit for bit.
+        one at a time bit for bit. ``batcher``, which collected the
+        batch, counts the ``score_many`` calls it releases.
         """
         stats = self.stats
         now = self._clock()
@@ -286,6 +298,7 @@ class _ServingCore:
             )
         if request_energy_nj is not None:
             stats.record_energies(request_energy_nj.tolist())
+        batcher.release(batch)
         done = []
         for request, value in zip(batch, values):
             if request.expired(now):
@@ -644,7 +657,7 @@ class InferenceService(_ServingCore):
             ),
         )
 
-        self._complete(batch, results, request_energy_nj)
+        self._complete(self._batcher, batch, results, request_energy_nj)
 
 
 def attribute_batch_energy(

@@ -709,7 +709,7 @@ class ShardedInferenceService(_ServingCore):
             ),
         )
 
-        self._complete(batch, results, request_energy_nj)
+        self._complete(shard.batcher, batch, results, request_energy_nj)
 
 
 __all__ = ["HashRing", "ShardedInferenceService"]

@@ -1,12 +1,14 @@
 """Tests for the micro-batching scheduler."""
 
 import queue
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest
+from repro.serve.batcher import BatchPolicy, MicroBatcher, ScoreCall, ServeRequest
 
 
 def _request(deadline=None):
@@ -148,3 +150,104 @@ class TestDeadlineBoundary:
         batch = batcher.collect(block_s=0.01)
         assert [id(r) for r in batch] == [id(r) for r in requests[2:]]
         assert [id(r) for r in expired] == [id(r) for r in requests[:2]]
+
+
+def _released(batcher, n_requests=1):
+    """A ``score_many`` call of ``n_requests`` that ``batcher`` scored."""
+    call = ScoreCall()
+    call.pending = n_requests
+    done = [_request() for _ in range(n_requests)]
+    for request in done:
+        request.call = call
+    batcher.release(done)
+    return call
+
+
+class TestReleasedCallers:
+    """A batch stays open for callers a scored batch has just released."""
+
+    def test_release_counts_a_call_once_its_last_request_is_scored(self):
+        batcher = MicroBatcher(queue.Queue(), BatchPolicy())
+        call = ScoreCall()
+        call.pending = 2
+        first, second = _request(), _request()
+        first.call = second.call = call
+        batcher.release([first, _request()])
+        assert call.releaser is None
+        batcher.release([second])
+        assert call.releaser is batcher
+        assert batcher._released == 1
+        call.picked_up()
+        assert batcher._released == 0
+
+    def test_pickup_of_an_unreleased_call_is_a_no_op(self):
+        batcher = MicroBatcher(queue.Queue(), BatchPolicy())
+        call = ScoreCall()
+        call.pending = 1
+        call.picked_up()
+        assert batcher._released == 0
+
+    def test_batch_waits_for_a_slow_released_caller(self):
+        """A caller that wakes long after max_wait_ms still joins the batch."""
+        source = queue.Queue()
+        batcher = MicroBatcher(source, BatchPolicy(max_batch_size=2, max_wait_ms=2.0))
+        call = _released(batcher)
+        first, late = _request(), _request()
+        source.put(first)
+
+        def caller():
+            time.sleep(0.05)
+            call.picked_up()
+            source.put(late)
+
+        thread = threading.Thread(target=caller)
+        thread.start()
+        batch = batcher.collect(block_s=0.01)
+        thread.join()
+        assert [id(r) for r in batch] == [id(first), id(late)]
+
+    def test_batch_closes_max_wait_after_the_last_pickup(self):
+        source = queue.Queue()
+        batcher = MicroBatcher(source, BatchPolicy(max_batch_size=4, max_wait_ms=20.0))
+        call = _released(batcher)
+        source.put(_request())
+        pickup = threading.Timer(0.05, call.picked_up)
+        started = time.monotonic()
+        pickup.start()
+        batch = batcher.collect(block_s=0.01)
+        elapsed = time.monotonic() - started
+        pickup.join()
+        assert len(batch) == 1
+        assert elapsed >= 0.05 + 0.02 - 1e-3
+
+    def test_without_released_callers_the_wait_is_max_wait(self):
+        source = queue.Queue()
+        batcher = MicroBatcher(source, BatchPolicy(max_batch_size=4, max_wait_ms=2.0))
+        call = ScoreCall()
+        call.pending = 2
+        half = _request()
+        half.call = call
+        batcher.release([half])  # one of two requests scored: not released
+        source.put(_request())
+        started = time.monotonic()
+        assert len(batcher.collect(block_s=0.01)) == 1
+        assert time.monotonic() - started < 0.5
+
+    def test_zero_wait_never_holds(self):
+        source = queue.Queue()
+        batcher = MicroBatcher(source, BatchPolicy(max_batch_size=4, max_wait_ms=0))
+        _released(batcher)  # never picked up
+        source.put(_request())
+        assert len(batcher.collect(block_s=0.01)) == 1
+
+    def test_frozen_clock_cannot_hold_forever(self):
+        """With a test clock that never advances, the batch still closes."""
+        source = queue.Queue()
+        batcher = MicroBatcher(
+            source,
+            BatchPolicy(max_batch_size=4, max_wait_ms=1.0),
+            clock=lambda: 100.0,
+        )
+        _released(batcher)  # never picked up
+        source.put(_request())
+        assert len(batcher.collect(block_s=0.01)) == 1

@@ -479,6 +479,77 @@ class TestChunkAdmission:
         assert all(event.attrs["phase"] == "queued" for event in expired)
 
 
+class TestReleasedCallers:
+    """Batches wait for ``score_many`` callers a batch has just released."""
+
+    def test_slow_closed_loop_caller_still_shares_each_batch(self, monkeypatch):
+        """One of two closed-loop callers picks up its results 100 ms
+        late, far past the 10 ms wait; every batch still holds both."""
+        from repro.serve.batcher import ScoreCall
+
+        picked_up = ScoreCall.picked_up
+
+        def slow_pickup(call):
+            if threading.current_thread().name == "slow-caller":
+                time.sleep(0.1)
+            picked_up(call)
+
+        monkeypatch.setattr(ScoreCall, "picked_up", slow_pickup)
+
+        def model(matrix):
+            time.sleep(0.01)
+            return matrix.sum(axis=1)
+
+        rows = np.random.default_rng(21).random((2, 4, 4, 3))
+        outputs = {}
+        barrier = threading.Barrier(2)
+        with InferenceService(
+            model, max_batch_size=8, max_wait_ms=10.0, cache_capacity=0
+        ) as service:
+
+            def client(c):
+                barrier.wait()
+                outputs[c] = [service.score_many(chunk) for chunk in rows[c]]
+
+            threads = [
+                threading.Thread(target=client, args=(c,), name=name)
+                for c, name in enumerate(("fast-caller", "slow-caller"))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            histogram = service.stats.snapshot()["batch_size_histogram"]
+            assert service._batcher._released == 0
+        assert histogram == {"8": 4}
+        for c in range(2):
+            assert np.array_equal(np.stack(outputs[c]), rows[c].sum(axis=2))
+
+    def test_every_release_is_picked_up(self):
+        """Hits, slices, expiries and rejections leave no caller counted
+        as released."""
+        model = _BlockingModel()
+        rows = np.random.default_rng(22).random((6, 2))
+        service = InferenceService(
+            model, max_batch_size=2, max_wait_ms=0.0, queue_capacity=4
+        ).start()
+        try:
+            model.release.set()
+            service.score_many(rows)  # sliced: 4 + 2 rows
+            service.score_many(rows[:3])  # all cache hits
+            model.release.clear()
+            model.entered.clear()
+            blocker = service.submit(np.full(2, 7.0))
+            assert model.entered.wait(timeout=5.0)
+            with pytest.raises(DeadlineExceededError):
+                threading.Timer(0.1, model.release.set).start()
+                service.score_many(np.full((2, 2), 3.0), timeout_s=0.01)
+            assert blocker.result(timeout=5) == 14.0
+            assert service._batcher._released == 0
+        finally:
+            model.release.set()
+            service.close()
+
 class TestLoadGenerator:
     def test_hundred_concurrent_requests_all_accounted(self):
         """The CI smoke contract: complete or cleanly reject, never hang."""

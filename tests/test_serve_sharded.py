@@ -402,6 +402,29 @@ class TestShardedChunkAdmission:
         assert service.stats.counter("completed") == 9
         assert service.stats.counter("rejected_queue_full") == 0
 
+    def test_call_across_shards_is_released_once(self, monkeypatch):
+        """A call whose rows span shards is released by the shard that
+        scores its last row, and its pickup clears that release."""
+        from repro.serve.batcher import ScoreCall
+
+        releasers = []
+        picked_up = ScoreCall.picked_up
+
+        def record(call):
+            releasers.append(call.releaser)
+            picked_up(call)
+
+        monkeypatch.setattr(ScoreCall, "picked_up", record)
+        rows = np.random.default_rng(19).random((16, 3))
+        with _sharded(_Affine(), workers=2, cache_capacity=0) as service:
+            assert len({service.shard_of(row) for row in rows}) == 2
+            service.score_many(rows)
+            service.score_many(rows[:1])
+            batchers = [shard.batcher for shard in service._shards]
+            assert [batcher._released for batcher in batchers] == [0, 0]
+        assert len(releasers) == 2
+        assert all(any(r is b for b in batchers) for r in releasers)
+
     def test_flight_events_name_their_shard(self):
         from repro.obs import flight_recorder
 
