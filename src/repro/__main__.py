@@ -285,22 +285,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.metrics_output:
         args.metrics = True
-    if args.experiment == "serve" and args.workers > 0:
-        # Sharded serving has no retry or degraded mode; refuse rather
-        # than silently serve without them.
-        unsupported = [
-            flag
-            for flag, given in (
-                ("--retries", args.retries > 1),
-                ("--degraded-score", args.degraded_score is not None),
-            )
-            if given
-        ]
-        if unsupported:
-            parser.error(
-                f"{' and '.join(unsupported)} not supported with --workers "
-                "(sharded serving has no retry or degraded mode)"
-            )
 
     if args.experiment == "table2":
         from repro.experiments import table2
@@ -399,9 +383,11 @@ def _faults(args) -> int:
 
 
 def _serve(args) -> int:
-    """Run the in-process serving demo / smoke (exit 0 = all accounted)."""
+    """Run the serving demo / smoke (exit 0 = all accounted)."""
     from repro.serve import (
+        CircuitBreaker,
         InferenceService,
+        ShardedInferenceService,
         closed_loop,
         demo_classifier_workload,
     )
@@ -430,41 +416,35 @@ def _serve(args) -> int:
         retry_policy = RetryPolicy(
             max_attempts=args.retries, backoff_ms=args.retry_backoff_ms
         )
-    circuit_breaker = None
-    if args.breaker_failures > 0:
-        from repro.serve import CircuitBreaker
-
-        circuit_breaker = CircuitBreaker(
-            failure_threshold=args.breaker_failures,
-            reset_timeout_s=args.breaker_reset_ms / 1e3,
-        )
     if args.workers > 0:
-        from repro.serve import ShardedInferenceService
-
-        service = ShardedInferenceService(
-            scorer,
-            workers=args.workers,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
-            queue_capacity=args.queue_capacity,
-            cache_capacity=args.cache_capacity,
-            registry=registry,
-            breaker_failure_threshold=args.breaker_failures,
-            breaker_reset_timeout_s=args.breaker_reset_ms / 1e3,
-        )
+        service_class = ShardedInferenceService
+        mode_options = {
+            "workers": args.workers,
+            "breaker_failure_threshold": args.breaker_failures,
+            "breaker_reset_timeout_s": args.breaker_reset_ms / 1e3,
+        }
     else:
-        service = InferenceService(
-            scorer,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
-            queue_capacity=args.queue_capacity,
-            cache_capacity=args.cache_capacity,
-            registry=registry,
-            retry_policy=retry_policy,
-            circuit_breaker=circuit_breaker,
-            degraded_value=args.degraded_score,
-            flight_dump_path=args.flight_dump,
-        )
+        service_class = InferenceService
+        mode_options = {
+            "circuit_breaker": CircuitBreaker(
+                failure_threshold=args.breaker_failures,
+                reset_timeout_s=args.breaker_reset_ms / 1e3,
+            )
+            if args.breaker_failures > 0
+            else None
+        }
+    service = service_class(
+        scorer,
+        max_batch_size=args.max_batch_size,
+        max_wait_ms=args.max_wait_ms,
+        queue_capacity=args.queue_capacity,
+        cache_capacity=args.cache_capacity,
+        registry=registry,
+        retry_policy=retry_policy,
+        degraded_value=args.degraded_score,
+        flight_dump_path=args.flight_dump,
+        **mode_options,
+    )
     timeout_s = None if args.timeout_ms is None else args.timeout_ms / 1e3
     with service:
         report = closed_loop(
@@ -482,9 +462,11 @@ def _serve(args) -> int:
         f"expired {report.deadline_expired}, failed {report.failed})"
     )
     if flaky is not None:
+        # Count retries, not the wrapper's own tallies: with --workers
+        # the faults are drawn inside the worker processes.
         print(
-            f"flaky scorer: {flaky.failures}/{flaky.calls} batch calls "
-            f"faulted (rate {args.flaky_rate})"
+            f"flaky scorer: {snapshot['counters'].get('retries', 0)} batch "
+            f"calls retried (fault rate {args.flaky_rate})"
         )
     payload = {"load": report.as_dict(), "stats": snapshot}
     if registry is not None:
@@ -545,25 +527,20 @@ def _video(args) -> int:
         from repro.obs import get_registry
 
         registry = get_registry()
-    if args.workers > 0:
-        service = ShardedInferenceService(
-            workload.scorer,
-            workers=args.workers,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
-            queue_capacity=args.queue_capacity,
-            cache_capacity=args.cache_capacity,
-            registry=registry,
-        )
-    else:
-        service = InferenceService(
-            workload.scorer,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
-            queue_capacity=args.queue_capacity,
-            cache_capacity=args.cache_capacity,
-            registry=registry,
-        )
+    service_class, mode_options = (
+        (ShardedInferenceService, {"workers": args.workers})
+        if args.workers > 0
+        else (InferenceService, {})
+    )
+    service = service_class(
+        workload.scorer,
+        max_batch_size=args.max_batch_size,
+        max_wait_ms=args.max_wait_ms,
+        queue_capacity=args.queue_capacity,
+        cache_capacity=args.cache_capacity,
+        registry=registry,
+        **mode_options,
+    )
     with service:
         pipeline = VideoPipeline(
             workload.extractor,

@@ -122,9 +122,8 @@ class ScoreCall:
 class MicroBatcher:
     """Collects batches from a request queue under a :class:`BatchPolicy`.
 
-    The batcher owns only the *collection* logic; executing the batch is
-    the worker's job, so several workers can drain the same queue
-    concurrently.
+    The batcher owns only the *collection* logic; the service's one
+    dispatch thread per queue executes each batch it collects.
 
     Args:
         source: the bounded request queue.

@@ -327,8 +327,11 @@ class ResilientExecutor:
             "retry", attempt=attempt, error=f"{type(exc).__name__}: {exc}"
         )
 
-    def __call__(self, matrix: np.ndarray) -> np.ndarray:
+    def __call__(self, matrix: np.ndarray, *context) -> np.ndarray:
         """Invoke the protected function with retry and circuit gating.
+
+        Any ``context`` arguments are passed on to the function with
+        ``matrix`` on every attempt.
 
         Raises:
             CircuitOpenError: the breaker refused the call.
@@ -341,7 +344,7 @@ class ResilientExecutor:
             if self.breaker is not None:
                 token = self.breaker.before_call()
             try:
-                result = self._fn(matrix)
+                result = self._fn(matrix, *context)
             except Exception as exc:
                 if self.breaker is not None:
                     self.breaker.record_failure(token)

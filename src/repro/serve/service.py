@@ -6,17 +6,27 @@ Architecture (DESIGN.md §9)::
         │  (chunk sliced to at most queue_capacity rows)
       admit ── one cache lookup ──> hits resolve at once
         │
-        └─ all misses ──> bounded queue ──> MicroBatcher ──> model
+        └─ all misses ──> lane queue(s) ──> MicroBatcher ──> executor
            (or QueueFullError,                                │
             none enqueued)                              (n, f) batch
                                                               │
     Futures <── complete: one cache put_many, one observe_many┘
 
-Concurrency model: callers submit from any thread; ``workers`` daemon
-threads drain the shared bounded queue through a
-:class:`~repro.serve.batcher.MicroBatcher` and resolve the per-request
-futures. A ``score_many`` chunk is admitted as one operation per slice
-of at most ``queue_capacity`` rows (:meth:`_ServingCore._admit`), and
+A *lane* is one bounded request queue, one
+:class:`~repro.serve.batcher.MicroBatcher` and one dispatch thread; its
+executor turns the lane's ``(n, f)`` batch into results. In-process
+serving is one lane whose executor is a
+:class:`~repro.serve.resilience.ResilientExecutor` around the model.
+:class:`~repro.serve.sharding.ShardedInferenceService` is this service
+with one lane per forked worker process, each executor a
+``ResilientExecutor`` around that worker's round trip
+(:class:`~repro.serve.sharding.ShardPool`). Admission, the cache,
+deadlines, retry, degraded mode, energy attribution, result fan-out
+and the automatic flight dump are this module's, once, for both.
+
+Concurrency model: callers submit from any thread. A ``score_many``
+chunk is admitted as one operation per slice of at most
+``queue_capacity`` rows (:meth:`InferenceService._admit`), and
 ``submit`` is its one-row case. Backpressure is by rejection — a full
 queue raises :class:`~repro.errors.QueueFullError` at submission time
 instead of growing without bound — and every request may carry a
@@ -71,17 +81,173 @@ def _resolve_batch_fn(model) -> BatchFunction:
     )
 
 
-class _ServingCore:
-    """Admission and result fan-out shared by both serving tiers.
+class _Lane:
+    """One bounded request queue, its batcher and its dispatch thread.
 
-    :class:`InferenceService` and
-    :class:`~repro.serve.sharding.ShardedInferenceService` differ only
-    in where a batch is scored; both admit requests through
-    :meth:`_admit` and resolve scored batches through :meth:`_complete`.
-    A subclass provides ``stats``, ``cache``, ``model_id``, ``_clock``,
-    ``_queue_capacity``, ``_admit_lock``, the ``_started``/``_closed``
-    flags, and :meth:`_route`.
+    ``execute(matrix, trace_ids)`` scores one collected batch. ``shard``
+    names the lane in its spans, flight events and hop counters; it is
+    ``None`` for the single lane of in-process serving.
     """
+
+    def __init__(
+        self, service: "InferenceService", execute, shard: Optional[int]
+    ) -> None:
+        self.requests: "queue.Queue[ServeRequest]" = queue.Queue(
+            service._queue_capacity
+        )
+        self.batcher = MicroBatcher(
+            self.requests,
+            service.policy,
+            on_expired=service._expire,
+            clock=service._clock,
+        )
+        self.execute = execute
+        self.shard = shard
+        self.labels = {} if shard is None else {"shard": shard}
+        self.span = "serve.model.batch" if shard is None else "serve.shard.execute"
+        self.thread = threading.Thread(
+            target=service._dispatch_loop,
+            args=(self,),
+            name="repro-serve-0" if shard is None else f"repro-dispatch-{shard}",
+            daemon=True,
+        )
+
+
+class InferenceService:
+    """Coalesces concurrent scoring requests into engine batches.
+
+    Args:
+        model: a ``(n, f) -> (n, ...)`` callable, or any scorer exposing
+            ``decision_function`` (e.g. ``TrueNorthBinaryScorer``).
+        max_batch_size: micro-batch dispatch threshold.
+        max_wait_ms: micro-batch coalescing wait.
+        queue_capacity: bounded queue depth; submissions beyond it raise
+            :class:`QueueFullError`.
+        cache_capacity: LRU result-cache entries; 0 disables. The cache
+            is also disabled (with a counted ``cache_disabled`` stat)
+            when the model advertises ``cacheable = False`` — caching a
+            model whose scores depend on call order would change
+            results.
+        model_id: stable identity for cache keys; defaults to the
+            model's ``model_id`` attribute, else a per-instance tag.
+        clock: monotonic time source (injectable for tests).
+        registry: metrics registry behind :attr:`stats` and the serve
+            spans; ``None`` (default) keeps a private per-service
+            registry, ``repro.obs.get_registry()`` publishes into the
+            process-wide one (the ``--metrics`` CLI path).
+        retry_policy: optional
+            :class:`~repro.serve.resilience.RetryPolicy`; transient
+            scorer faults (:class:`~repro.errors.TransientScorerError`)
+            are retried with backoff before a batch is failed. Each
+            retry is counted in ``serve_retries_total``.
+        circuit_breaker: optional
+            :class:`~repro.serve.resilience.CircuitBreaker` gating
+            every scorer call; its state is exported on the
+            ``serve_breaker_state`` gauge (0 closed / 1 half-open /
+            2 open).
+        degraded_value: when set, a batch that still fails after retry
+            (or hits an open breaker) resolves every request with this
+            fallback value instead of an exception — counted in
+            ``serve_degraded_total`` and **never** written to the
+            result cache. Other exception types still fail the batch.
+        flight_dump_path: when set, the process flight recorder is
+            dumped to this path automatically whenever a batch fails or
+            the circuit breaker opens (and on demand via the
+            ``serve --flight-dump`` CLI flag).
+    """
+
+    #: The worker processes behind the lanes, or ``None`` to score in
+    #: this process. :class:`~repro.serve.sharding.ShardedInferenceService`
+    #: sets its :class:`~repro.serve.sharding.ShardPool` here before
+    #: calling this constructor.
+    _pool = None
+
+    def __init__(
+        self,
+        model,
+        max_batch_size: int = 32,
+        max_wait_ms: float = 2.0,
+        queue_capacity: int = 256,
+        cache_capacity: int = 4096,
+        model_id: Optional[str] = None,
+        clock: Callable[[], float] = time.monotonic,
+        registry: Optional[MetricsRegistry] = None,
+        retry_policy: Optional[RetryPolicy] = None,
+        circuit_breaker: Optional[CircuitBreaker] = None,
+        degraded_value: Optional[float] = None,
+        flight_dump_path: Optional[str] = None,
+    ) -> None:
+        if queue_capacity < 1:
+            raise ConfigurationError(
+                f"queue_capacity must be >= 1, got {queue_capacity}"
+            )
+        if cache_capacity < 0:
+            raise ConfigurationError(
+                f"cache_capacity must be >= 0, got {cache_capacity}"
+            )
+        batch_fn = _resolve_batch_fn(model)
+        self.model = model
+        self.model_id = (
+            model_id
+            if model_id is not None
+            else getattr(model, "model_id", None)
+            or f"{type(model).__name__}@{id(model):x}"
+        )
+        self.policy = BatchPolicy(max_batch_size, max_wait_ms)
+        self.stats = ServiceStats(registry=registry)
+        self._clock = clock
+        self._queue_capacity = queue_capacity
+        self._admit_lock = threading.Lock()
+
+        cacheable = bool(getattr(model, "cacheable", True))
+        if cache_capacity > 0 and not cacheable:
+            self.stats.count("cache_disabled")
+            cache_capacity = 0
+        self.cache = LruResultCache(cache_capacity) if cache_capacity else None
+
+        self._degraded_value = degraded_value
+        self.flight_dump_path = flight_dump_path
+        self.circuit_breaker = circuit_breaker
+        if circuit_breaker is not None:
+            # One clock per service: a breaker still on the default
+            # time source follows the injected clock, so cooldowns and
+            # deadlines cannot drift apart under a test clock.
+            if circuit_breaker._clock is time.monotonic and clock is not time.monotonic:
+                circuit_breaker.bind_clock(clock)
+            breaker_gauge = self.stats.registry.gauge(
+                "serve_breaker_state",
+                help="circuit breaker state (0 closed, 1 half-open, 2 open)",
+            )
+
+            def _on_breaker_state(state: str) -> None:
+                breaker_gauge.set(STATE_CODES[state])
+                if state == "open":
+                    self._auto_flight_dump("breaker_open")
+
+            circuit_breaker._on_state_change = _on_breaker_state
+            breaker_gauge.set(STATE_CODES[circuit_breaker.state])
+
+        if self._pool is None:
+            executors = [
+                (
+                    None,
+                    ResilientExecutor(
+                        lambda matrix, _trace_ids: batch_fn(matrix),
+                        retry=retry_policy,
+                        breaker=circuit_breaker,
+                        registry=self.stats.registry,
+                    ),
+                )
+            ]
+        else:
+            executors = self._pool.executors(self, retry_policy)
+        self._lanes = [_Lane(self, execute, shard) for shard, execute in executors]
+        self.stats.bind_queue(
+            lambda: sum(lane.requests.qsize() for lane in self._lanes)
+        )
+        self._stop = threading.Event()
+        self._started = False
+        self._closed = False
 
     @property
     def clock(self) -> Callable[[], float]:
@@ -93,16 +259,107 @@ class _ServingCore:
         """
         return self._clock
 
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> "InferenceService":
+        """Start any worker processes and the dispatch threads (idempotent)."""
+        if self._closed:
+            raise ServiceClosedError("service already closed")
+        if not self._started:
+            self._started = True
+            if self._pool is not None:
+                self._pool.start()
+            for lane in self._lanes:
+                lane.thread.start()
+        return self
+
+    def close(self, drain: bool = True) -> None:
+        """Stop accepting requests and shut every lane and worker down.
+
+        Args:
+            drain: process everything already queued before exiting
+                (default). With ``drain=False`` still-queued requests
+                are failed with :class:`ServiceClosedError`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if not drain:
+            for lane in self._lanes:
+                while True:
+                    try:
+                        request = lane.requests.get_nowait()
+                    except queue.Empty:
+                        break
+                    request.future.set_exception(
+                        ServiceClosedError("service closed before the request ran")
+                    )
+                    self.stats.count("rejected_closed")
+        self._stop.set()
+        for lane in self._lanes:
+            if lane.thread.is_alive():
+                lane.thread.join()
+        if self._pool is not None:
+            self._pool.close()
+
     def __enter__(self):
         return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
+    # ------------------------------------------------------------------
+    # Submission path
+    # ------------------------------------------------------------------
+    # Each service class defines submit and score_many itself:
+    # perfbench's per-layer probes wrap each class's own attribute.
+    def submit(
+        self,
+        features: np.ndarray,
+        timeout_s: Optional[float] = None,
+    ) -> "Future":
+        """Queue one feature row for scoring.
+
+        The one-row case of :meth:`score_many`'s chunk admission.
+
+        Args:
+            features: 1-D feature row.
+            timeout_s: optional deadline, measured from now; enforced
+                before batching and again after scoring.
+
+        Returns:
+            A future resolving to the model's result row (a ``float``
+            for scorers, an array for vector models).
+
+        Raises:
+            ServiceClosedError: the service is closed (or never
+                started).
+            QueueFullError: the row's queue is at capacity.
+            ValueError: ``features`` is not 1-D.
+        """
+        return self._admit(features, timeout_s, ndim=1)[0]
+
+    def score_many(
+        self,
+        features: np.ndarray,
+        timeout_s: Optional[float] = None,
+    ) -> np.ndarray:
+        """Score every row of ``(n, f)`` and gather results in order.
+
+        Rows are admitted in slices of at most ``queue_capacity`` rows.
+        Each slice is one admission — every cache miss is queued, or
+        :class:`QueueFullError` is raised with none of that slice
+        queued — and the next slice is admitted once the previous one
+        has resolved, so a chunk larger than the queue still fits
+        through it. ``timeout_s`` runs from each slice's admission.
+        """
+        return self._score_sliced(features, timeout_s)
+
     def _score_sliced(
         self, features: np.ndarray, timeout_s: Optional[float]
     ) -> np.ndarray:
-        """``score_many`` for both services (see its docstring)."""
+        """``score_many`` for both service classes (see its docstring)."""
         array = np.asarray(features)
         step = self._queue_capacity
         pieces = (
@@ -126,12 +383,6 @@ class _ServingCore:
         """Submit one row and block for its result."""
         return self.submit(features, timeout_s=timeout_s).result()
 
-    def _route(
-        self, misses: List[ServeRequest]
-    ) -> List[Tuple[Optional[int], "queue.Queue[ServeRequest]", List[ServeRequest]]]:
-        """``(shard index or None, queue, requests)`` parts for the misses."""
-        raise NotImplementedError
-
     def _admit(
         self,
         features: np.ndarray,
@@ -147,7 +398,7 @@ class _ServingCore:
         :class:`QueueFullError` having enqueued none of them. One
         ``serve.submit`` span and one ``cache_hit`` / ``cache_miss``
         flight event cover the chunk, plus one ``enqueue`` event per
-        target queue; each carries the ``trace_ids`` of the rows it
+        target lane; each carries the ``trace_ids`` of the rows it
         concerns, so :func:`repro.obs.traces.assemble_traces` still
         yields one trace per row. The queued misses are counted on
         ``call`` (a ``score_many`` slice) so the batcher can tell when
@@ -221,10 +472,21 @@ class _ServingCore:
                 self._enqueue(misses, timeout_s)
         return [request.future for request in requests]
 
+    def _route(
+        self, misses: List[ServeRequest]
+    ) -> List[Tuple[_Lane, List[ServeRequest]]]:
+        """``(lane, requests)`` parts for the misses, in lane order."""
+        if self._pool is None:
+            return [(self._lanes[0], misses)]
+        return [
+            (self._lanes[index], part)
+            for index, part in self._pool.route(self.model_id, misses)
+        ]
+
     def _enqueue(
         self, misses: List[ServeRequest], timeout_s: Optional[float]
     ) -> None:
-        """Enqueue every miss on its routed queue, or none of them.
+        """Enqueue every miss on its routed lane, or none of them.
 
         :meth:`_admit` is the only producer on the request queues and
         the batchers only remove requests, so room checked under the
@@ -233,30 +495,31 @@ class _ServingCore:
         parts = self._route(misses)
         recorder = flight_recorder()
         with self._admit_lock:
-            for shard, target, part in parts:
+            for lane, part in parts:
+                target = lane.requests
                 if target.qsize() + len(part) > target.maxsize:
                     self.stats.count("rejected_queue_full", len(misses))
                     recorder.record(
                         "queue_full",
                         trace_ids=[request.trace_id for request in misses],
                         capacity=target.maxsize,
-                        **({} if shard is None else {"shard": shard}),
+                        **lane.labels,
                     )
-                    name = "request" if shard is None else f"shard {shard}"
+                    name = "request" if lane.shard is None else f"shard {lane.shard}"
                     raise QueueFullError(
                         f"{name} queue is at capacity ({target.maxsize}): "
                         f"no room for {len(part)} more rows"
                     )
-            for _, target, part in parts:
+            for lane, part in parts:
                 for request in part:
-                    target.put_nowait(request)
-        for shard, _, part in parts:
+                    lane.requests.put_nowait(request)
+        for lane, part in parts:
             recorder.record(
                 "enqueue",
                 trace_ids=[request.trace_id for request in part],
                 deadline_in_s=timeout_s,
                 queue_depth=self.stats.queue_depth,
-                **({} if shard is None else {"shard": shard}),
+                **lane.labels,
             )
 
     def _expire(self, request: ServeRequest) -> None:
@@ -268,6 +531,125 @@ class _ServingCore:
         request.future.set_exception(
             DeadlineExceededError("deadline expired while queued")
         )
+
+    # ------------------------------------------------------------------
+    # Dispatch side (one thread per lane)
+    # ------------------------------------------------------------------
+    def _auto_flight_dump(self, reason: str) -> None:
+        """Dump the flight recorder when an incident trigger fires."""
+        if self.flight_dump_path is None:
+            return
+        try:
+            flight_recorder().dump(self.flight_dump_path, reason=reason)
+        except OSError:
+            self.stats.count("flight_dump_errors")
+
+    def _dispatch_loop(self, lane: _Lane) -> None:
+        registry = self.stats.registry
+        while True:
+            drain_started = time.perf_counter()
+            batch = lane.batcher.collect(block_s=0.02)
+            if batch:
+                # Idle polls are not drains: only a non-empty collect is
+                # recorded, so the drain span measures coalescing time.
+                observe_span(
+                    "serve.batcher.drain",
+                    time.perf_counter() - drain_started,
+                    registry=registry,
+                )
+                with span("serve.worker.execute", registry=registry):
+                    self._run_batch(lane, batch)
+            elif self._stop.is_set() and lane.requests.empty():
+                return
+
+    def _fail_batch(self, batch: List[ServeRequest], exc: BaseException) -> None:
+        """Fail every request, narrate it, and trigger the auto-dump."""
+        self.stats.count("failed", len(batch))
+        recorder = flight_recorder()
+        error = f"{type(exc).__name__}: {exc}"
+        for request in batch:
+            recorder.record(
+                "request_failed", trace_id=request.trace_id, error=error
+            )
+            request.future.set_exception(exc)
+        self._auto_flight_dump("request_failed")
+
+    def _run_batch(self, lane: _Lane, batch: List[ServeRequest]) -> None:
+        stats = self.stats
+        stats.record_batch(len(batch))
+        stats.count("windows_scored", len(batch))
+        recorder = flight_recorder()
+        trace_ids = [request.trace_id for request in batch]
+        recorder.record(
+            "batch_form", size=len(batch), trace_ids=trace_ids, **lane.labels
+        )
+        matrix = np.stack([request.features for request in batch])
+        try:
+            with span(
+                lane.span,
+                registry=stats.registry,
+                trace_ids=trace_ids,
+                **lane.labels,
+            ):
+                with hwcounters.collect() as activity:
+                    results = np.asarray(lane.execute(matrix, trace_ids))
+        except Exception as exc:  # a failed call fails the whole batch
+            if self._degraded_value is None or not isinstance(
+                exc, (CircuitOpenError, TransientScorerError)
+            ):
+                self._fail_batch(batch, exc)
+                return
+            # Retries exhausted or breaker open: degrade.
+            stats.count("degraded", len(batch))
+            recorder.record(
+                "degraded",
+                size=len(batch),
+                trace_ids=trace_ids,
+                error=f"{type(exc).__name__}: {exc}",
+                **lane.labels,
+            )
+            now = self._clock()
+            for request in batch:
+                # Degraded values never feed the cache — they are not the
+                # model's answer for this window.
+                if request.expired(now):
+                    stats.count("expired_after_batch")
+                    recorder.record(
+                        "deadline_expired", trace_id=request.trace_id, phase="scored"
+                    )
+                    request.future.set_exception(
+                        DeadlineExceededError("deadline expired during scoring")
+                    )
+                else:
+                    request.future.set_result(self._degraded_value)
+            return
+        if results.shape[0] != len(batch):
+            self._fail_batch(
+                batch,
+                ConfigurationError(
+                    f"model returned {results.shape[0]} rows for a batch of "
+                    f"{len(batch)}"
+                ),
+            )
+            return
+
+        request_energy_nj = attribute_batch_energy(activity, len(batch))
+        hw_totals = activity.totals() if activity.runs else None
+        if hw_totals is not None:
+            stats.record_hw_totals(hw_totals, shard=lane.shard)
+        recorder.record(
+            "score",
+            size=len(batch),
+            trace_ids=trace_ids,
+            hw=hw_totals,
+            energy_nj=(
+                float(request_energy_nj.sum())
+                if request_energy_nj is not None
+                else None
+            ),
+            **lane.labels,
+        )
+        self._complete(lane.batcher, batch, results, request_energy_nj)
 
     def _complete(
         self,
@@ -318,348 +700,6 @@ class _ServingCore:
                 request.future.set_result(value)
 
 
-class InferenceService(_ServingCore):
-    """Coalesces concurrent scoring requests into engine batches.
-
-    Args:
-        model: a ``(n, f) -> (n, ...)`` callable, or any scorer exposing
-            ``decision_function`` (e.g. ``TrueNorthBinaryScorer``).
-        max_batch_size: micro-batch dispatch threshold.
-        max_wait_ms: micro-batch coalescing wait.
-        queue_capacity: bounded queue depth; submissions beyond it raise
-            :class:`QueueFullError`.
-        cache_capacity: LRU result-cache entries; 0 disables. The cache
-            is also disabled (with a counted ``cache_disabled`` stat)
-            when the model advertises ``cacheable = False`` — caching a
-            model whose scores depend on call order would change
-            results.
-        workers: worker threads draining the queue.
-        model_id: stable identity for cache keys; defaults to the
-            model's ``model_id`` attribute, else a per-instance tag.
-        clock: monotonic time source (injectable for tests).
-        registry: metrics registry behind :attr:`stats` and the serve
-            spans; ``None`` (default) keeps a private per-service
-            registry, ``repro.obs.get_registry()`` publishes into the
-            process-wide one (the ``--metrics`` CLI path).
-        retry_policy: optional
-            :class:`~repro.serve.resilience.RetryPolicy`; transient
-            scorer faults (:class:`~repro.errors.TransientScorerError`)
-            are retried with backoff before a batch is failed. Each
-            retry is counted in ``serve_retries_total``.
-        circuit_breaker: optional
-            :class:`~repro.serve.resilience.CircuitBreaker` gating
-            every scorer call; its state is exported on the
-            ``serve_breaker_state`` gauge (0 closed / 1 half-open /
-            2 open).
-        degraded_value: when set, a batch that still fails after retry
-            (or hits an open breaker) resolves every request with this
-            fallback value instead of an exception — counted in
-            ``serve_degraded_total`` and **never** written to the
-            result cache. Other exception types still fail the batch.
-        flight_dump_path: when set, the process flight recorder is
-            dumped to this path automatically whenever a batch fails or
-            the circuit breaker opens (and on demand via the
-            ``serve --flight-dump`` CLI flag).
-    """
-
-    def __init__(
-        self,
-        model,
-        max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
-        queue_capacity: int = 256,
-        cache_capacity: int = 4096,
-        workers: int = 1,
-        model_id: Optional[str] = None,
-        clock: Callable[[], float] = time.monotonic,
-        registry: Optional[MetricsRegistry] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        circuit_breaker: Optional[CircuitBreaker] = None,
-        degraded_value: Optional[float] = None,
-        flight_dump_path: Optional[str] = None,
-    ) -> None:
-        if queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1, got {queue_capacity}"
-            )
-        if cache_capacity < 0:
-            raise ConfigurationError(
-                f"cache_capacity must be >= 0, got {cache_capacity}"
-            )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self._batch_fn = _resolve_batch_fn(model)
-        self.model = model
-        self.model_id = (
-            model_id
-            if model_id is not None
-            else getattr(model, "model_id", None)
-            or f"{type(model).__name__}@{id(model):x}"
-        )
-        self.policy = BatchPolicy(max_batch_size, max_wait_ms)
-        self.stats = ServiceStats(registry=registry)
-        self._clock = clock
-        self._queue: "queue.Queue[ServeRequest]" = queue.Queue(queue_capacity)
-        self._queue_capacity = queue_capacity
-        self._admit_lock = threading.Lock()
-        self.stats.bind_queue(self._queue.qsize)
-
-        cacheable = bool(getattr(model, "cacheable", True))
-        if cache_capacity > 0 and not cacheable:
-            self.stats.count("cache_disabled")
-            cache_capacity = 0
-        self.cache = LruResultCache(cache_capacity) if cache_capacity else None
-
-        self._degraded_value = degraded_value
-        self.flight_dump_path = flight_dump_path
-        self.circuit_breaker = circuit_breaker
-        if circuit_breaker is not None:
-            # One clock per service: a breaker still on the default
-            # time source follows the injected clock, so cooldowns and
-            # deadlines cannot drift apart under a test clock.
-            if circuit_breaker._clock is time.monotonic and clock is not time.monotonic:
-                circuit_breaker.bind_clock(clock)
-            breaker_gauge = self.stats.registry.gauge(
-                "serve_breaker_state",
-                help="circuit breaker state (0 closed, 1 half-open, 2 open)",
-            )
-
-            def _on_breaker_state(state: str) -> None:
-                breaker_gauge.set(STATE_CODES[state])
-                if state == "open":
-                    self._auto_flight_dump("breaker_open")
-
-            circuit_breaker._on_state_change = _on_breaker_state
-            breaker_gauge.set(STATE_CODES[circuit_breaker.state])
-        self._executor = ResilientExecutor(
-            self._batch_fn,
-            retry=retry_policy,
-            breaker=circuit_breaker,
-            registry=self.stats.registry,
-        )
-
-        self._batcher = MicroBatcher(
-            self._queue, self.policy, on_expired=self._expire, clock=clock
-        )
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-{i}", daemon=True
-            )
-            for i in range(workers)
-        ]
-        self._stop = threading.Event()
-        self._started = False
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "InferenceService":
-        """Start the worker pool (idempotent)."""
-        if self._closed:
-            raise ServiceClosedError("service already closed")
-        if not self._started:
-            self._started = True
-            for worker in self._workers:
-                worker.start()
-        return self
-
-    def close(self, drain: bool = True) -> None:
-        """Stop accepting requests and shut the worker pool down.
-
-        Args:
-            drain: process everything already queued before exiting
-                (default). With ``drain=False`` still-queued requests
-                are failed with :class:`ServiceClosedError`.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if not drain:
-            while True:
-                try:
-                    request = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                request.future.set_exception(
-                    ServiceClosedError("service closed before the request ran")
-                )
-                self.stats.count("rejected_closed")
-        self._stop.set()
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.join()
-
-    # ------------------------------------------------------------------
-    # Submission path
-    # ------------------------------------------------------------------
-    # Each service class defines submit and score_many itself:
-    # perfbench's per-layer probes wrap each class's own attribute.
-    def submit(
-        self,
-        features: np.ndarray,
-        timeout_s: Optional[float] = None,
-    ) -> "Future":
-        """Queue one feature row for scoring.
-
-        The one-row case of :meth:`score_many`'s chunk admission.
-
-        Args:
-            features: 1-D feature row.
-            timeout_s: optional deadline, measured from now; enforced
-                before batching and again after scoring.
-
-        Returns:
-            A future resolving to the model's result row (a ``float``
-            for scorers, an array for vector models).
-
-        Raises:
-            ServiceClosedError: the service is closed (or never
-                started).
-            QueueFullError: the bounded queue is at capacity.
-            ValueError: ``features`` is not 1-D.
-        """
-        return self._admit(features, timeout_s, ndim=1)[0]
-
-    def score_many(
-        self,
-        features: np.ndarray,
-        timeout_s: Optional[float] = None,
-    ) -> np.ndarray:
-        """Score every row of ``(n, f)`` and gather results in order.
-
-        Rows are admitted in slices of at most ``queue_capacity`` rows.
-        Each slice is one admission — every cache miss is queued, or
-        :class:`QueueFullError` is raised with none of that slice
-        queued — and the next slice is admitted once the previous one
-        has resolved, so a chunk larger than the queue still fits
-        through it. ``timeout_s`` runs from each slice's admission.
-        """
-        return self._score_sliced(features, timeout_s)
-
-    def _route(self, misses):
-        return [(None, self._queue, misses)]
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-    def _auto_flight_dump(self, reason: str) -> None:
-        """Dump the flight recorder when an incident trigger fires."""
-        if self.flight_dump_path is None:
-            return
-        try:
-            flight_recorder().dump(self.flight_dump_path, reason=reason)
-        except OSError:
-            self.stats.count("flight_dump_errors")
-
-    def _worker_loop(self) -> None:
-        registry = self.stats.registry
-        while True:
-            drain_started = time.perf_counter()
-            batch = self._batcher.collect(block_s=0.02)
-            if batch:
-                # Idle polls are not drains: only a non-empty collect is
-                # recorded, so the drain span measures coalescing time.
-                observe_span(
-                    "serve.batcher.drain",
-                    time.perf_counter() - drain_started,
-                    registry=registry,
-                )
-                with span("serve.worker.execute", registry=registry):
-                    self._run_batch(batch)
-            elif self._stop.is_set() and self._queue.empty():
-                return
-
-    def _fail_batch(
-        self, batch: List[ServeRequest], exc: BaseException, reason: str
-    ) -> None:
-        """Fail every request, narrate it, and trigger the auto-dump."""
-        self.stats.count("failed", len(batch))
-        recorder = flight_recorder()
-        error = f"{type(exc).__name__}: {exc}"
-        for request in batch:
-            recorder.record(
-                "request_failed", trace_id=request.trace_id, error=error
-            )
-            request.future.set_exception(exc)
-        self._auto_flight_dump(reason)
-
-    def _run_batch(self, batch: List[ServeRequest]) -> None:
-        self.stats.record_batch(len(batch))
-        self.stats.count("windows_scored", len(batch))
-        recorder = flight_recorder()
-        trace_ids = [request.trace_id for request in batch]
-        recorder.record("batch_form", size=len(batch), trace_ids=trace_ids)
-        matrix = np.stack([request.features for request in batch])
-        try:
-            with span(
-                "serve.model.batch",
-                registry=self.stats.registry,
-                trace_ids=trace_ids,
-            ):
-                with hwcounters.collect() as activity:
-                    results = np.asarray(self._executor(matrix))
-        except (CircuitOpenError, TransientScorerError) as exc:
-            # Retries exhausted or breaker open: degrade if configured.
-            if self._degraded_value is not None:
-                self.stats.count("degraded", len(batch))
-                recorder.record(
-                    "degraded",
-                    size=len(batch),
-                    trace_ids=trace_ids,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                now = self._clock()
-                for request in batch:
-                    # Degraded values never feed the cache — they are not
-                    # the model's answer for this window.
-                    if request.expired(now):
-                        self.stats.count("expired_after_batch")
-                        recorder.record(
-                            "deadline_expired",
-                            trace_id=request.trace_id,
-                            phase="scored",
-                        )
-                        request.future.set_exception(
-                            DeadlineExceededError(
-                                "deadline expired during scoring"
-                            )
-                        )
-                        continue
-                    request.future.set_result(self._degraded_value)
-                return
-            self._fail_batch(batch, exc, "request_failed")
-            return
-        except Exception as exc:  # model failure fails the whole batch
-            self._fail_batch(batch, exc, "request_failed")
-            return
-        if results.shape[0] != len(batch):
-            error = ConfigurationError(
-                f"model returned {results.shape[0]} rows for a batch of "
-                f"{len(batch)}"
-            )
-            self._fail_batch(batch, error, "request_failed")
-            return
-
-        request_energy_nj = attribute_batch_energy(activity, len(batch))
-        hw_totals = activity.totals() if activity.runs else None
-        if hw_totals is not None:
-            self.stats.record_hw_totals(hw_totals)
-        recorder.record(
-            "score",
-            size=len(batch),
-            trace_ids=trace_ids,
-            hw=hw_totals,
-            energy_nj=(
-                float(request_energy_nj.sum())
-                if request_energy_nj is not None
-                else None
-            ),
-        )
-
-        self._complete(self._batcher, batch, results, request_energy_nj)
-
-
 def attribute_batch_energy(
     collector: "hwcounters.ActivityCollector", batch_size: int
 ) -> Optional[np.ndarray]:
@@ -670,9 +710,6 @@ def attribute_batch_energy(
     each request is charged its own lane's measured energy. Otherwise
     the model's total measured energy is split evenly; a model that
     never touched an engine yields ``None``.
-
-    Shared by the in-process service and the sharded worker tier so
-    both attribute energy identically.
     """
     if not collector.runs:
         return None

@@ -1,23 +1,27 @@
-"""Multi-chip scale-out: sharded worker processes behind the batcher.
+"""Multi-chip scale-out: forked worker processes behind the batchers.
 
-A single :class:`~repro.serve.service.InferenceService` scores every
-batch on the calling process's engines. This module scales the same
-request surface across *worker processes*, one per simulated chip
-assembly (DESIGN.md §14)::
+A :class:`ShardedInferenceService` is an
+:class:`~repro.serve.service.InferenceService` whose batches are scored
+in *worker processes*, one per simulated chip assembly, rather than on
+the calling process's engines (DESIGN.md §14). It has one lane (bounded
+queue, micro-batcher, dispatch thread) per worker, and each lane's
+executor is the round trip to that worker::
 
     score_many(chunk) / submit(row)
         │
-      admit ── cache? ──> HashRing ──> shard queues ──> MicroBatcher
+      admit ── cache? ──> HashRing ──> lane queues ──> MicroBatcher
         │        │       (model_id,    (all misses       │
-        │       hit       row key)      or none)    dispatcher thread
-        │        │                                       │
-        │        │                                breaker, mp.Queue
+        │        │        row key)      or none)    dispatch thread
+        │       hit                                      │
+        │        │                   ResilientExecutor: retry, shard
+        │        │                   breaker, mp.Queue round trip
         │        │                                       │
         └─ Futures <──── results, ledgers, energy ──── worker process
 
-Admission and result fan-out are the in-process service's own
-(:class:`~repro.serve.service._ServingCore`); only the routing of a
-chunk's misses onto shard queues and the worker round trip live here.
+Admission, the cache, deadlines, retry, degraded mode, energy
+attribution, result fan-out and the automatic flight dump are the
+service's own. :class:`ShardPool` supplies only what differs: the
+workers, the routing of misses to lanes, and each lane's executor.
 
 Design points:
 
@@ -46,34 +50,32 @@ Design points:
 """
 
 import bisect
+import functools
 import hashlib
 import multiprocessing
 import queue
-import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import (
-    CircuitOpenError,
     ConfigurationError,
-    ServiceClosedError,
     TransientScorerError,
     WorkerDiedError,
 )
-from repro.obs import MetricsRegistry, hwcounters, span
+from repro.obs import MetricsRegistry, hwcounters, tracing
 from repro.obs.flight import flight_recorder
-from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest
-from repro.serve.cache import LruResultCache, content_key, content_keys
-from repro.serve.resilience import STATE_CODES, CircuitBreaker
-from repro.serve.service import (
-    _resolve_batch_fn,
-    _ServingCore,
-    attribute_batch_energy,
+from repro.serve.batcher import ServeRequest
+from repro.serve.cache import content_key, content_keys
+from repro.serve.resilience import (
+    STATE_CODES,
+    CircuitBreaker,
+    ResilientExecutor,
+    RetryPolicy,
 )
-from repro.serve.stats import ServiceStats
+from repro.serve.service import InferenceService, _resolve_batch_fn
 
 
 class HashRing:
@@ -145,7 +147,6 @@ def _worker_main(shard_index, model, in_queue, out_queue):
     # parent's id pool: reset the one, namespace the other so ids
     # minted here can never collide with parent-minted ids.
     from repro.obs import metrics as obs_metrics
-    from repro.obs import tracing
     from repro.obs.ids import configure_namespace
 
     configure_namespace(f"s{shard_index}")
@@ -189,33 +190,18 @@ def _worker_main(shard_index, model, in_queue, out_queue):
 
 
 class _Shard:
-    """One worker process plus its parent-side plumbing."""
+    """One worker process, its mp queues and its circuit breaker."""
 
     def __init__(
-        self,
-        index: int,
-        model,
-        context,
-        queue_capacity: int,
-        policy: BatchPolicy,
-        on_expired,
-        clock: Callable[[], float],
-        breaker: Optional[CircuitBreaker],
+        self, index: int, model, context, breaker: Optional[CircuitBreaker]
     ) -> None:
         self.index = index
         self.model = model
         self.context = context
-        self.requests: "queue.Queue[ServeRequest]" = queue.Queue(
-            queue_capacity
-        )
-        self.batcher = MicroBatcher(
-            self.requests, policy, on_expired=on_expired, clock=clock
-        )
         self.breaker = breaker
         self.process = None
         self.in_queue = None
         self.out_queue = None
-        self.dispatcher: Optional[threading.Thread] = None
         self.batch_counter = 0
 
     def spawn(self) -> None:
@@ -252,31 +238,21 @@ class _Shard:
             mp_queue.join_thread()
 
 
-class ShardedInferenceService(_ServingCore):
-    """Serve one model from sharded worker processes (multi-chip tier).
+class ShardPool:
+    """The worker processes behind a sharded service's lanes.
 
-    Drop-in for :class:`~repro.serve.service.InferenceService` where it
-    matters — ``submit`` / ``score`` / ``score_many`` / ``stats`` /
-    ``cache`` / context-manager lifecycle — but every batch is scored in
-    one of ``workers`` forked processes, routed by consistent hash of
-    the request's content key. Results, cache keys, activity ledgers,
-    and per-request energy are bit-identical to in-process serving
-    (``tests/test_serve_differential.py``).
+    Owns the forked workers, the :class:`HashRing` that routes each
+    miss to its shard's lane, respawn and redispatch, one circuit
+    breaker per shard, and the folding of each worker reply's spans,
+    metrics and activity ledgers into the parent. Each lane's executor
+    is a :class:`~repro.serve.resilience.ResilientExecutor` (the
+    service's retry policy, the shard's breaker) around
+    :meth:`_round_trip`.
 
     Args:
-        model: a ``(n, f) -> (n, ...)`` callable or ``decision_function``
-            scorer; constructed *before* the fork so all shards share
-            one copy-on-write snapshot.
+        model: the model every worker scores with (forked, not pickled).
         workers: shard (worker process) count, >= 1.
-        max_batch_size / max_wait_ms: per-shard micro-batching policy.
-        queue_capacity: bounded depth of each shard's request queue.
-        cache_capacity: shared parent-side LRU result cache; 0 disables
-            (also disabled for ``cacheable = False`` models).
-        model_id: stable identity for cache keys and routing; defaults
-            to the model's ``model_id``.
-        clock: monotonic time source shared by batchers, deadlines, and
-            breakers (single-clock contract).
-        registry: metrics registry behind :attr:`stats`.
+        clock: the service clock, which the breakers' cooldowns read.
         breaker_failure_threshold / breaker_reset_timeout_s: per-shard
             circuit-breaker tuning; ``breaker_failure_threshold=0``
             disables circuit breaking.
@@ -291,30 +267,14 @@ class ShardedInferenceService(_ServingCore):
     def __init__(
         self,
         model,
-        workers: int = 2,
-        max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
-        queue_capacity: int = 256,
-        cache_capacity: int = 4096,
-        model_id: Optional[str] = None,
-        clock: Callable[[], float] = time.monotonic,
-        registry: Optional[MetricsRegistry] = None,
-        breaker_failure_threshold: int = 5,
-        breaker_reset_timeout_s: float = 1.0,
-        ring_replicas: int = 64,
-        result_timeout_s: float = 1.0,
-        max_redispatches: int = 1,
+        workers: int,
+        clock: Callable[[], float],
+        breaker_failure_threshold: int,
+        breaker_reset_timeout_s: float,
+        ring_replicas: int,
+        result_timeout_s: float,
+        max_redispatches: int,
     ) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1, got {queue_capacity}"
-            )
-        if cache_capacity < 0:
-            raise ConfigurationError(
-                f"cache_capacity must be >= 0, got {cache_capacity}"
-            )
         if breaker_failure_threshold < 0:
             raise ConfigurationError(
                 "breaker_failure_threshold must be >= 0, got "
@@ -328,176 +288,78 @@ class ShardedInferenceService(_ServingCore):
             raise ConfigurationError(
                 f"max_redispatches must be >= 0, got {max_redispatches}"
             )
-        self.model = model
-        self.model_id = (
-            model_id
-            if model_id is not None
-            else getattr(model, "model_id", None)
-            or f"{type(model).__name__}@{id(model):x}"
-        )
-        self.workers = workers
-        self.policy = BatchPolicy(max_batch_size, max_wait_ms)
-        self.stats = ServiceStats(registry=registry)
-        self._clock = clock
-        self.result_timeout_s = result_timeout_s
-        self._queue_capacity = queue_capacity
-        self._admit_lock = threading.Lock()
-        self.max_redispatches = max_redispatches
-
-        cacheable = bool(getattr(model, "cacheable", True))
-        if cache_capacity > 0 and not cacheable:
-            self.stats.count("cache_disabled")
-            cache_capacity = 0
-        self.cache = LruResultCache(cache_capacity) if cache_capacity else None
-
         self.ring = HashRing(workers, replicas=ring_replicas)
+        self.result_timeout_s = result_timeout_s
+        self.max_redispatches = max_redispatches
         # Forked workers inherit the already-compiled model; "fork" is
         # asserted rather than assumed so a non-fork platform fails
         # loudly instead of re-pickling the model per shard.
-        self._context = multiprocessing.get_context("fork")
-
-        breaker_gauge = self.stats.registry.gauge(
-            "serve_breaker_open_shards",
-            help="shards whose circuit breaker is not closed",
-        )
-        self._breaker_gauge = breaker_gauge
-        self._shards: List[_Shard] = []
-        for index in range(workers):
-            breaker = None
-            if breaker_failure_threshold > 0:
-                breaker = CircuitBreaker(
+        context = multiprocessing.get_context("fork")
+        self.shards = [
+            _Shard(
+                index,
+                model,
+                context,
+                CircuitBreaker(
                     failure_threshold=breaker_failure_threshold,
                     reset_timeout_s=breaker_reset_timeout_s,
                     clock=clock,
                 )
-                breaker._on_state_change = (
-                    lambda state, _shard=index: self._on_breaker_state(
-                        _shard, state
-                    )
-                )
-            self._shards.append(
-                _Shard(
-                    index,
-                    model,
-                    self._context,
-                    queue_capacity,
-                    self.policy,
-                    self._expire,
-                    clock,
-                    breaker,
-                )
+                if breaker_failure_threshold > 0
+                else None,
             )
-        self._queue_depth = lambda: sum(
-            shard.requests.qsize() for shard in self._shards
-        )
-        self.stats.bind_queue(self._queue_depth)
+            for index in range(workers)
+        ]
+        self._service: Optional[InferenceService] = None
 
-        self._stop = threading.Event()
-        self._started = False
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def _on_breaker_state(self, shard_index: int, state: str) -> None:
-        self._breaker_gauge.set(
-            sum(
-                1
-                for shard in self._shards
-                if shard.breaker is not None
-                and STATE_CODES[shard.breaker._state] != 0
-            )
+    def executors(
+        self, service: InferenceService, retry_policy: Optional[RetryPolicy]
+    ) -> List[Tuple[int, ResilientExecutor]]:
+        """``(shard index, executor)`` for each of ``service``'s lanes."""
+        self._service = service
+        registry = service.stats.registry
+        gauge = registry.gauge(
+            "serve_breaker_open_shards",
+            help="shards whose circuit breaker is not closed",
         )
-        if state == "open":
-            self.stats.count("breaker_opens")
-        flight_recorder().record(
-            "shard_breaker", shard=shard_index, state=state
-        )
-
-    def start(self) -> "ShardedInferenceService":
-        """Fork the worker processes and start the dispatchers."""
-        if self._closed:
-            raise ServiceClosedError("service already closed")
-        if not self._started:
-            self._started = True
-            for shard in self._shards:
-                shard.spawn()
-                shard.dispatcher = threading.Thread(
-                    target=self._dispatch_loop,
-                    args=(shard,),
-                    name=f"repro-dispatch-{shard.index}",
-                    daemon=True,
+        for shard in self.shards:
+            if shard.breaker is not None:
+                shard.breaker._on_state_change = functools.partial(
+                    self._on_breaker_state, gauge, shard.index
                 )
-                shard.dispatcher.start()
-        return self
+        return [
+            (
+                shard.index,
+                ResilientExecutor(
+                    functools.partial(self._round_trip, shard),
+                    retry=retry_policy,
+                    breaker=shard.breaker,
+                    registry=registry,
+                ),
+            )
+            for shard in self.shards
+        ]
 
-    def close(self, drain: bool = True) -> None:
-        """Stop the dispatchers and shut every worker process down."""
-        if self._closed:
-            return
-        self._closed = True
-        if not drain:
-            for shard in self._shards:
-                while True:
-                    try:
-                        request = shard.requests.get_nowait()
-                    except queue.Empty:
-                        break
-                    request.future.set_exception(
-                        ServiceClosedError(
-                            "service closed before the request ran"
-                        )
-                    )
-                    self.stats.count("rejected_closed")
-        self._stop.set()
-        for shard in self._shards:
-            if shard.dispatcher is not None and shard.dispatcher.is_alive():
-                shard.dispatcher.join()
-        for shard in self._shards:
+    def start(self) -> None:
+        """Fork every worker process."""
+        for shard in self.shards:
+            shard.spawn()
+
+    def close(self) -> None:
+        """Shut every worker process down."""
+        for shard in self.shards:
             shard.terminate()
 
-    # ------------------------------------------------------------------
-    # Submission path
-    # ------------------------------------------------------------------
-    def shard_of(self, features: np.ndarray) -> int:
-        """The shard index a feature row routes to (deterministic)."""
-        row = np.ascontiguousarray(features, dtype=np.float64)
-        return self.ring.shard_for(content_key(self.model_id, row))
-
-    def submit(
-        self,
-        features: np.ndarray,
-        timeout_s: Optional[float] = None,
-    ) -> "Future":
-        """Queue one feature row for scoring on its home shard.
-
-        Same contract as :meth:`InferenceService.submit`: returns a
-        future; raises :class:`ServiceClosedError` /
-        :class:`QueueFullError` / :class:`ValueError` at submission.
-        """
-        return self._admit(features, timeout_s, ndim=1)[0]
-
-    def score_many(
-        self,
-        features: np.ndarray,
-        timeout_s: Optional[float] = None,
-    ) -> np.ndarray:
-        """Score every row of ``(n, f)`` and gather results in order.
-
-        Same contract as :meth:`InferenceService.score_many`; each
-        slice's misses are routed to their home shards and either all
-        enqueued or, if any shard queue lacks room for its share, none
-        are (:class:`QueueFullError`).
-        """
-        return self._score_sliced(features, timeout_s)
-
-    def _route(self, misses):
+    def route(
+        self, model_id: str, misses: List[ServeRequest]
+    ) -> List[Tuple[int, List[ServeRequest]]]:
+        """``(shard index, requests)`` parts for the misses, by shard."""
         # The content key doubles as the routing key, so equal rows stay
         # on one shard even with the cache disabled (no key computed yet).
         unkeyed = [request for request in misses if request.cache_key is None]
         if unkeyed:
             keys = content_keys(
-                self.model_id, np.stack([request.features for request in unkeyed])
+                model_id, np.stack([request.features for request in unkeyed])
             )
             for request, key in zip(unkeyed, keys):
                 request.cache_key = key
@@ -506,88 +368,76 @@ class ShardedInferenceService(_ServingCore):
             by_shard.setdefault(
                 self.ring.shard_for(request.cache_key), []
             ).append(request)
-        return [
-            (index, self._shards[index].requests, part)
-            for index, part in sorted(by_shard.items())
-        ]
+        return sorted(by_shard.items())
 
-    # ------------------------------------------------------------------
-    # Dispatcher side (one thread per shard)
-    # ------------------------------------------------------------------
-    def _dispatch_loop(self, shard: _Shard) -> None:
-        while True:
-            batch = shard.batcher.collect(block_s=0.02)
-            if batch:
-                # The execute span lives inside _run_batch so it can
-                # carry the batch's trace ids and hand its span id to
-                # the worker as the cross-process parent.
-                self._run_batch(shard, batch)
-            elif self._stop.is_set() and shard.requests.empty():
-                return
-
-    def _fail_batch(
-        self, batch: List[ServeRequest], exc: BaseException
-    ) -> None:
-        self.stats.count("failed", len(batch))
-        recorder = flight_recorder()
-        error = f"{type(exc).__name__}: {exc}"
-        for request in batch:
-            recorder.record(
-                "request_failed", trace_id=request.trace_id, error=error
-            )
-            request.future.set_exception(exc)
+    def _on_breaker_state(self, gauge, shard_index: int, state: str) -> None:
+        # Fires only when circuit breaking is on, i.e. every shard has one.
+        gauge.set(
+            sum(STATE_CODES[shard.breaker._state] != 0 for shard in self.shards)
+        )
+        flight_recorder().record(
+            "shard_breaker", shard=shard_index, state=state
+        )
+        if state == "open":
+            self._service.stats.count("breaker_opens")
+            self._service._auto_flight_dump("breaker_open")
 
     def _round_trip(
-        self,
-        shard: _Shard,
-        matrix: np.ndarray,
-        trace_ids: List[str],
-        parent_span_id: str,
-    ):
-        """One send/receive cycle with death detection and respawn.
+        self, shard: _Shard, matrix: np.ndarray, trace_ids: List[str]
+    ) -> np.ndarray:
+        """Score ``matrix`` on ``shard``'s worker, respawning it on death.
 
-        Returns the worker's reply tuple, or raises
-        :class:`WorkerDiedError` once the redispatch budget is spent.
-        Each redispatch goes to a freshly spawned worker over fresh
-        queues, so a reply can only belong to the batch just sent.
-        The trace context (request trace ids plus the dispatch span's
-        id) rides along so worker spans join the request trees.
+        Returns the worker's results after re-recording its activity
+        ledgers on this thread, so they land in the caller's
+        :func:`~repro.obs.hwcounters.collect` scope exactly as
+        in-process engine runs would. A worker-side exception raises
+        :class:`TransientScorerError`; :class:`WorkerDiedError` once
+        the redispatch budget is spent. Each redispatch goes to a
+        freshly spawned worker over fresh queues, so a reply can only
+        belong to the batch just sent. The trace context (the request
+        trace ids plus the id of the enclosing ``serve.shard.execute``
+        span) rides along so worker spans join the request trees.
         """
-        from repro.obs import tracing
-
+        stats = self._service.stats
         for attempt in range(self.max_redispatches + 1):
             shard.batch_counter += 1
             batch_id = shard.batch_counter
-            self.stats.count("dispatches")
+            stats.count("dispatches")
             if attempt > 0:
-                self.stats.count("redispatches")
+                stats.count("redispatches")
             shard.in_queue.put(
                 (
                     batch_id,
                     matrix,
                     hwcounters.enabled(),
                     trace_ids,
-                    parent_span_id,
+                    tracing.current_span_id(),
                     tracing.enabled(),
                 )
             )
             while True:
                 try:
-                    reply = shard.out_queue.get(
-                        timeout=self.result_timeout_s
-                    )
+                    reply = shard.out_queue.get(timeout=self.result_timeout_s)
                 except queue.Empty:
                     if shard.process.is_alive():
                         continue
                     break  # dead worker: respawn below
-                if reply[1] == batch_id:
-                    return reply
-                # A reply from before a respawn cannot appear (fresh
-                # queues), but guard against protocol bugs anyway.
-                flight_recorder().record(
-                    "shard_stale_reply", shard=shard.index, got=reply[1]
-                )
-            self.stats.count("worker_deaths")
+                if reply[1] != batch_id:
+                    # A reply from before a respawn cannot appear (fresh
+                    # queues), but guard against protocol bugs anyway.
+                    flight_recorder().record(
+                        "shard_stale_reply", shard=shard.index, got=reply[1]
+                    )
+                    continue
+                if reply[0] == "err":
+                    _, _, type_name, message = reply
+                    raise TransientScorerError(f"{type_name}: {message}")
+                _, _, results, runs, worker_spans, metrics_delta = reply
+                self._absorb_worker_telemetry(shard, worker_spans, metrics_delta)
+                for run in runs:
+                    hwcounters.record_run(run)
+                return results
+            stats.count("worker_deaths")
             flight_recorder().record(
                 "worker_death",
                 shard=shard.index,
@@ -595,7 +445,7 @@ class ShardedInferenceService(_ServingCore):
                 attempt=attempt,
             )
             shard.spawn()
-            self.stats.count("worker_respawns")
+            stats.count("worker_respawns")
         raise WorkerDiedError(
             f"shard {shard.index} worker died {self.max_redispatches + 1} "
             "times on one batch"
@@ -613,103 +463,96 @@ class ShardedInferenceService(_ServingCore):
         ``_worker_main``'s fresh private registry made worker-side
         series invisible to ``serve --workers N --metrics``.
         """
-        from repro.obs import tracing
-
         if worker_spans:
             log = tracing.trace_log()
             for record in worker_spans:
                 log.append(record)
         if metrics_delta and metrics_delta["series"]:
-            self.stats.registry.merge_state(
+            self._service.stats.registry.merge_state(
                 metrics_delta, extra_labels={"shard": str(shard.index)}
             )
 
-    def _run_batch(self, shard: _Shard, batch: List[ServeRequest]) -> None:
-        self.stats.record_batch(len(batch))
-        self.stats.count("windows_scored", len(batch))
-        recorder = flight_recorder()
-        trace_ids = [request.trace_id for request in batch]
-        recorder.record(
-            "batch_form",
-            size=len(batch),
-            shard=shard.index,
-            trace_ids=trace_ids,
-        )
-        matrix = np.stack([request.features for request in batch])
 
-        token = None
-        if shard.breaker is not None:
-            try:
-                token = shard.breaker.before_call()
-            except CircuitOpenError as exc:
-                self._fail_batch(batch, exc)
-                return
-        with span(
-            "serve.shard.execute",
-            registry=self.stats.registry,
-            shard=shard.index,
-            trace_ids=trace_ids,
-        ) as execute_span:
-            try:
-                reply = self._round_trip(
-                    shard,
-                    matrix,
-                    trace_ids,
-                    execute_span.span_id if execute_span is not None else "",
-                )
-            except WorkerDiedError as exc:
-                if shard.breaker is not None:
-                    shard.breaker.record_failure(token)
-                self._fail_batch(batch, exc)
-                return
+class ShardedInferenceService(InferenceService):
+    """Serve one model from sharded worker processes (multi-chip tier).
 
-        if reply[0] == "err":
-            _, _, type_name, message = reply
-            if shard.breaker is not None:
-                shard.breaker.record_failure(token)
-            self._fail_batch(
-                batch, TransientScorerError(f"{type_name}: {message}")
+    An :class:`~repro.serve.service.InferenceService` — same
+    ``submit`` / ``score`` / ``score_many`` / ``stats`` / ``cache`` /
+    lifecycle, same retry, degraded mode and flight dump — whose
+    batches are scored in one of ``workers`` forked processes, routed
+    by consistent hash of the request's content key. Results, cache
+    keys, activity ledgers, and per-request energy are bit-identical to
+    in-process serving (``tests/test_serve_differential.py``).
+
+    Args:
+        model: a ``(n, f) -> (n, ...)`` callable or ``decision_function``
+            scorer; constructed *before* the fork so all shards share
+            one copy-on-write snapshot.
+        workers, breaker_failure_threshold, breaker_reset_timeout_s,
+        ring_replicas, result_timeout_s, max_redispatches: see
+            :class:`ShardPool`.
+        **options: any other :class:`InferenceService` argument but
+            ``circuit_breaker`` (each shard has its own).
+            ``max_batch_size``, ``max_wait_ms`` and ``queue_capacity``
+            apply to each shard's lane, the result cache is shared in
+            the parent, and ``retry_policy`` retries each worker round
+            trip.
+    """
+
+    def __init__(
+        self,
+        model,
+        workers: int = 2,
+        breaker_failure_threshold: int = 5,
+        breaker_reset_timeout_s: float = 1.0,
+        ring_replicas: int = 64,
+        result_timeout_s: float = 1.0,
+        max_redispatches: int = 1,
+        **options,
+    ) -> None:
+        if "circuit_breaker" in options:
+            raise ConfigurationError(
+                "each shard has its own circuit breaker: set "
+                "breaker_failure_threshold instead of circuit_breaker"
             )
-            return
-        if shard.breaker is not None:
-            shard.breaker.record_success(token)
-        _, _, results, runs, worker_spans, metrics_delta = reply
-        self._absorb_worker_telemetry(shard, worker_spans, metrics_delta)
-        results = np.asarray(results)
-        if results.shape[0] != len(batch):
-            self._fail_batch(
-                batch,
-                ConfigurationError(
-                    f"worker returned {results.shape[0]} rows for a batch "
-                    f"of {len(batch)}"
-                ),
-            )
-            return
-
-        # Re-record the workers' ledgers in the parent: the registry
-        # counters, any open collect() scopes, and energy attribution
-        # observe exactly what in-process serving would have recorded.
-        with hwcounters.collect() as activity:
-            for run in runs:
-                hwcounters.record_run(run)
-        hw_totals = activity.totals() if activity.runs else None
-        if hw_totals is not None:
-            self.stats.record_hw_totals(hw_totals, shard=shard.index)
-        request_energy_nj = attribute_batch_energy(activity, len(batch))
-        recorder.record(
-            "score",
-            size=len(batch),
-            shard=shard.index,
-            trace_ids=trace_ids,
-            hw=hw_totals,
-            energy_nj=(
-                float(request_energy_nj.sum())
-                if request_energy_nj is not None
-                else None
-            ),
+        self._pool = ShardPool(
+            model,
+            workers,
+            options.get("clock", time.monotonic),
+            breaker_failure_threshold,
+            breaker_reset_timeout_s,
+            ring_replicas,
+            result_timeout_s,
+            max_redispatches,
         )
+        self.ring = self._pool.ring
+        super().__init__(model, **options)
 
-        self._complete(shard.batcher, batch, results, request_energy_nj)
+    def shard_of(self, features: np.ndarray) -> int:
+        """The shard index a feature row routes to (deterministic)."""
+        row = np.ascontiguousarray(features, dtype=np.float64)
+        return self.ring.shard_for(content_key(self.model_id, row))
+
+    # perfbench's probes wrap each class's own submit and score_many,
+    # so these must not call through InferenceService's.
+    def submit(
+        self,
+        features: np.ndarray,
+        timeout_s: Optional[float] = None,
+    ) -> "Future":
+        """Queue one row on its home shard (see
+        :meth:`InferenceService.submit`)."""
+        return self._admit(features, timeout_s, ndim=1)[0]
+
+    def score_many(
+        self,
+        features: np.ndarray,
+        timeout_s: Optional[float] = None,
+    ) -> np.ndarray:
+        """Score every row of ``(n, f)`` in order (see
+        :meth:`InferenceService.score_many`); each slice's misses are
+        queued on their home shards, all of them or none."""
+        return self._score_sliced(features, timeout_s)
 
 
-__all__ = ["HashRing", "ShardedInferenceService"]
+__all__ = ["HashRing", "ShardPool", "ShardedInferenceService"]

@@ -94,10 +94,6 @@ class ServiceStats:
         """Record one dispatched batch of ``size`` requests."""
         self._batches.observe(size)
 
-    def record_latency(self, seconds: float) -> None:
-        """Record one completed request's submit-to-result latency."""
-        self._latency.observe(seconds)
-
     def record_latencies(self, seconds: Sequence[float]) -> None:
         """Record the latencies of a group of completed requests."""
         self._latency.observe_many(seconds)
@@ -127,16 +123,13 @@ class ServiceStats:
                         labels={"shard": str(shard)},
                     ).inc(value)
 
-    def record_energy(self, nanojoules: float) -> None:
-        """Attribute ``nanojoules`` of simulated energy to one request."""
-        self.record_energies((nanojoules,))
-
     def record_energies(self, nanojoules: Sequence[float]) -> None:
         """Attribute simulated energy to a batch's requests, in order.
 
         ``nanojoules[i]`` is request ``i``'s share. The total counter
         adds the shares one by one in request order, so it is the same
-        float as one :meth:`record_energy` per request.
+        float whether a batch is recorded in one call or one request
+        at a time.
         """
         self._energy.observe_many(nanojoules)
         self.registry.counter(

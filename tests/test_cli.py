@@ -57,27 +57,23 @@ class TestCli:
     def test_video_bad_shape_rejected(self, capsys):
         assert main(["video", "--video-shape", "huge"]) == 2
 
-    @pytest.mark.parametrize(
-        "flags, named",
-        [
-            (["--retries", "3"], ["--retries"]),
-            (["--degraded-score", "-1"], ["--degraded-score"]),
-            (
-                ["--retries", "3", "--degraded-score", "-1"],
-                ["--retries", "--degraded-score"],
-            ),
-        ],
-    )
-    def test_serve_rejects_options_sharding_cannot_honour(
-        self, capsys, flags, named
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--workers", "2", *flags])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        for flag in named:
-            assert flag in err
-        assert "--workers" in err
+    def test_serve_workers_honours_retry_flags(self, capsys):
+        """Sharded serving retries transient faults like in-process.
+
+        Each worker draws the seed-0 fault stream: its first call fails
+        at rate 0.64 and no run of failures in its first 200 draws is
+        longer than 7, so 8 attempts always get through.
+        """
+        assert main([
+            "serve", "--workers", "2", "--flaky-rate", "0.64",
+            "--retries", "8", "--degraded-score", "-1", "--requests", "24",
+            "--concurrency", "4", "--chunk-size", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[out.index("{"):])
+        assert payload["load"]["completed"] == 24
+        assert payload["load"]["failed"] == 0
+        assert payload["stats"]["counters"]["retries"] > 0
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

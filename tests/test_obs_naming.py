@@ -61,8 +61,8 @@ class TestRealSubsystemsConform:
         stats.count("submitted")
         stats.count("cache_hits")
         stats.record_batch(4)
-        stats.record_latency(0.01)
-        stats.record_energy(125.0)
+        stats.record_latencies([0.01])
+        stats.record_energies([125.0])
         stats.record_hw_totals(
             {"router_hops": 7, "cross_chip_hops": 2, "intra_chip_hops": 5},
             shard=1,

@@ -1,5 +1,6 @@
 """Serve-layer resilience: retry, circuit breaker, degraded mode."""
 
+import json
 import threading
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.serve import (
     InferenceService,
     ResilientExecutor,
     RetryPolicy,
+    ShardedInferenceService,
 )
 from repro.serve.resilience import CLOSED, HALF_OPEN, OPEN
 
@@ -456,22 +458,40 @@ class _Scorer:
 
 
 class TestServiceIntegration:
+    """Resilience options through a whole service, in-process.
+
+    :class:`TestShardedServiceIntegration` reruns every case on two
+    worker processes. The models fail deterministically in each process
+    (a forked worker scores with its own copy), never by random draw.
+    """
+
+    #: The breaker gauge a tripped breaker sets, and its value.
+    breaker_gauge = ("serve_breaker_state", 2.0)  # open
+
+    def _service(self, model, breaker=None, **kwargs):
+        """A service around ``model``; ``breaker`` is
+        ``(failure_threshold, reset_timeout_s)`` or ``None``."""
+        if breaker is not None:
+            kwargs["circuit_breaker"] = CircuitBreaker(
+                failure_threshold=breaker[0], reset_timeout_s=breaker[1]
+            )
+        kwargs.setdefault("max_batch_size", 4)
+        return InferenceService(model, max_wait_ms=1.0, **kwargs)
+
     def test_service_retries_through_transient_faults(self):
-        flaky = FlakyModel(_Scorer(), failure_rate=0.5, rng=3)
-        service = InferenceService(
-            flaky,
-            max_batch_size=4,
-            max_wait_ms=1.0,
+        service = self._service(
+            _FailNTimes(2),
             cache_capacity=0,
-            retry_policy=RetryPolicy(max_attempts=6, backoff_ms=0.1),
+            retry_policy=RetryPolicy(max_attempts=3, backoff_ms=0.1),
         )
         with service:
             scores = [
                 service.score(np.full(3, i, dtype=float), timeout_s=5.0)
                 for i in range(6)
             ]
-        assert scores == [i * 10.0 for i in range(6)]
-        assert flaky.failures > 0
+        assert scores == [i * 2.0 for i in range(6)]
+        assert service.stats.counter("retries") >= 2
+        assert service.stats.counter("failed") == 0
 
     def test_degraded_value_served_while_breaker_open(self):
         class AlwaysDown:
@@ -481,12 +501,8 @@ class TestServiceIntegration:
             def decision_function(self, matrix):
                 raise TransientScorerError("permanently sad")
 
-        service = InferenceService(
-            AlwaysDown(),
-            max_batch_size=4,
-            max_wait_ms=1.0,
-            circuit_breaker=CircuitBreaker(failure_threshold=1, reset_timeout_s=60.0),
-            degraded_value=-1.0,
+        service = self._service(
+            AlwaysDown(), breaker=(1, 60.0), degraded_value=-1.0
         )
         with service:
             scores = [
@@ -498,33 +514,15 @@ class TestServiceIntegration:
         assert snapshot["counters"]["degraded"] == 4
 
     def test_degraded_results_never_cached(self):
-        class DownThenUp:
-            model_id = "flap"
-            cacheable = True
-
-            def __init__(self):
-                self.down = True
-
-            def decision_function(self, matrix):
-                if self.down:
-                    raise TransientScorerError("down")
-                return np.asarray(matrix)[:, 0] * 10.0
-
-        model = DownThenUp()
-        service = InferenceService(
-            model,
-            max_batch_size=4,
-            max_wait_ms=1.0,
-            cache_capacity=64,
-            degraded_value=0.0,
-        )
+        model = _FailNTimes(1)
+        model.model_id = "flap"
+        service = self._service(model, cache_capacity=64, degraded_value=0.0)
         row = np.array([7.0, 7.0])
         with service:
             degraded = service.score(row, timeout_s=5.0)
-            model.down = False
             healthy = service.score(row, timeout_s=5.0)
         assert degraded == 0.0
-        assert healthy == 70.0  # a cached degraded score would repeat 0.0
+        assert healthy == 14.0  # a cached degraded score would repeat 0.0
 
     def test_no_degraded_value_fails_requests(self):
         class AlwaysDown:
@@ -534,14 +532,13 @@ class TestServiceIntegration:
             def decision_function(self, matrix):
                 raise TransientScorerError("sad")
 
-        service = InferenceService(AlwaysDown(), max_batch_size=2, max_wait_ms=1.0)
+        service = self._service(AlwaysDown(), max_batch_size=2)
         with service:
             with pytest.raises(TransientScorerError):
                 service.score(np.zeros(2), timeout_s=5.0)
 
     def test_breaker_gauge_published(self):
         registry = MetricsRegistry()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=60.0)
 
         class AlwaysDown:
             model_id = "down3"
@@ -550,15 +547,63 @@ class TestServiceIntegration:
             def decision_function(self, matrix):
                 raise TransientScorerError("sad")
 
-        service = InferenceService(
+        service = self._service(
             AlwaysDown(),
+            breaker=(1, 60.0),
             max_batch_size=2,
-            max_wait_ms=1.0,
             registry=registry,
-            circuit_breaker=breaker,
             degraded_value=0.0,
         )
         with service:
             service.score(np.zeros(2), timeout_s=5.0)
         gauges = registry.snapshot()["gauges"]
-        assert gauges["serve_breaker_state"] == 2.0  # open
+        name, value = self.breaker_gauge
+        assert gauges[name] == value
+
+    def test_failed_batch_dumps_the_flight_recorder(self, tmp_path):
+        path = tmp_path / "failure.json"
+        service = self._service(
+            _FailNTimes(1), cache_capacity=0, flight_dump_path=str(path)
+        )
+        with service:
+            with pytest.raises(TransientScorerError):
+                service.score(np.zeros(3), timeout_s=5.0)
+        document = json.loads(path.read_text())
+        assert document["reason"] == "request_failed"
+        assert "request_failed" in [e["kind"] for e in document["events"]]
+
+    def test_opening_breaker_dumps_the_flight_recorder(self, tmp_path):
+        path = tmp_path / "breaker.json"
+        service = self._service(
+            _FailNTimes(1),
+            breaker=(1, 60.0),
+            cache_capacity=0,
+            degraded_value=-1.0,
+            flight_dump_path=str(path),
+        )
+        with service:
+            assert service.score(np.zeros(3), timeout_s=5.0) == -1.0
+        document = json.loads(path.read_text())
+        assert document["reason"] == "breaker_open"
+        assert any(
+            e["kind"] == "breaker_transition" and e["attrs"]["to_state"] == "open"
+            for e in document["events"]
+        )
+
+
+class TestShardedServiceIntegration(TestServiceIntegration):
+    """Every resilience case again, on two worker processes."""
+
+    breaker_gauge = ("serve_breaker_open_shards", 1.0)
+
+    def _service(self, model, breaker=None, **kwargs):
+        threshold, reset_s = breaker if breaker is not None else (0, 1.0)
+        kwargs.setdefault("max_batch_size", 4)
+        return ShardedInferenceService(
+            model,
+            workers=2,
+            max_wait_ms=1.0,
+            breaker_failure_threshold=threshold,
+            breaker_reset_timeout_s=reset_s,
+            **kwargs,
+        )

@@ -72,8 +72,6 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError):
             InferenceService(_sum_model, queue_capacity=0)
         with pytest.raises(ConfigurationError):
-            InferenceService(_sum_model, workers=0)
-        with pytest.raises(ConfigurationError):
             InferenceService(_sum_model, cache_capacity=-1)
         with pytest.raises(ConfigurationError):
             InferenceService(object())
@@ -418,7 +416,7 @@ class TestChunkAdmission:
             ):
                 assert time.monotonic() < deadline, "producers never settled"
                 time.sleep(0.01)
-            queued = [request.features[0] for request in service._queue.queue]
+            queued = [request.features[0] for request in service._lanes[0].requests.queue]
             assert len(queued) == 6
             for c in set(queued):
                 assert queued.count(c) == 3  # a chunk is queued whole
@@ -520,7 +518,7 @@ class TestReleasedCallers:
             for thread in threads:
                 thread.join(timeout=30)
             histogram = service.stats.snapshot()["batch_size_histogram"]
-            assert service._batcher._released == 0
+            assert service._lanes[0].batcher._released == 0
         assert histogram == {"8": 4}
         for c in range(2):
             assert np.array_equal(np.stack(outputs[c]), rows[c].sum(axis=2))
@@ -545,7 +543,7 @@ class TestReleasedCallers:
                 threading.Timer(0.1, model.release.set).start()
                 service.score_many(np.full((2, 2), 3.0), timeout_s=0.01)
             assert blocker.result(timeout=5) == 14.0
-            assert service._batcher._released == 0
+            assert service._lanes[0].batcher._released == 0
         finally:
             model.release.set()
             service.close()

@@ -25,6 +25,7 @@ from repro.errors import (
     TransientScorerError,
 )
 from repro.serve import (
+    CircuitBreaker,
     HashRing,
     InferenceService,
     NApproxCellModel,
@@ -167,18 +168,20 @@ class TestShardedService:
             _sharded(_Affine(), result_timeout_s=0.0)
         with pytest.raises(ConfigurationError):
             _sharded(_Affine(), max_redispatches=-1)
+        with pytest.raises(ConfigurationError, match="breaker_failure_threshold"):
+            _sharded(_Affine(), circuit_breaker=CircuitBreaker())
 
 
 class TestWorkerDeath:
     def test_killed_worker_is_respawned_and_batch_redispatched(self):
         """SIGKILL mid-batch: the batch still completes on the respawn."""
         with _sharded(_CrashOnNegative(), workers=1) as service:
-            before = service._shards[0].process.pid
+            before = service._pool.shards[0].process.pid
             os.kill(before, signal.SIGKILL)
-            service._shards[0].process.join(timeout=5.0)
+            service._pool.shards[0].process.join(timeout=5.0)
             score = service.score(np.array([3.0, 0.0, 0.0]), timeout_s=30.0)
             assert score == 6.0
-            after = service._shards[0].process.pid
+            after = service._pool.shards[0].process.pid
             assert after != before
             assert service.stats.counter("worker_deaths") == 1
             assert service.stats.counter("worker_respawns") == 1
@@ -233,7 +236,7 @@ class TestShardBreakers:
 
     def test_breakers_are_per_shard(self):
         service = _sharded(_Affine(), workers=3, breaker_failure_threshold=2)
-        breakers = [shard.breaker for shard in service._shards]
+        breakers = [shard.breaker for shard in service._pool.shards]
         assert len({id(b) for b in breakers}) == 3
         assert all(b is not None for b in breakers)
         assert all(b._clock is service.clock for b in breakers)
@@ -354,10 +357,10 @@ class TestShardedChunkAdmission:
         }
         queued = [
             owner[request.features.tobytes()]
-            for shard in service._shards
-            for request in shard.requests.queue
+            for lane in service._lanes
+            for request in lane.requests.queue
         ]
-        assert all(shard.requests.qsize() <= 4 for shard in service._shards)
+        assert all(lane.requests.qsize() <= 4 for lane in service._lanes)
         for c in set(queued):
             assert queued.count(c) == 3  # a chunk is queued whole
         assert service.stats.counter("rejected_queue_full") == 24 - len(queued)
@@ -420,7 +423,7 @@ class TestShardedChunkAdmission:
             assert len({service.shard_of(row) for row in rows}) == 2
             service.score_many(rows)
             service.score_many(rows[:1])
-            batchers = [shard.batcher for shard in service._shards]
+            batchers = [lane.batcher for lane in service._lanes]
             assert [batcher._released for batcher in batchers] == [0, 0]
         assert len(releasers) == 2
         assert all(any(r is b for b in batchers) for r in releasers)
@@ -443,7 +446,7 @@ class TestShardedChunkAdmission:
             set(home)
         )
         for event in enqueues:
-            queued = service._shards[event.attrs["shard"]].requests.queue
+            queued = service._lanes[event.attrs["shard"]].requests.queue
             assert [request.trace_id for request in queued] == (
                 event.attrs["trace_ids"]
             )

@@ -22,7 +22,7 @@ class TestFacade:
         stats = ServiceStats(registry=registry)
         stats.count("completed", 4)
         stats.record_batch(8)
-        stats.record_latency(0.01)
+        stats.record_latencies([0.01])
         assert registry.get("serve_completed_total").value == 4
         assert registry.get("serve_batch_size").count == 1
         assert registry.get("serve_latency_seconds").count == 1
@@ -55,7 +55,7 @@ class TestFacade:
     def test_latency_percentile(self):
         stats = ServiceStats()
         for ms in range(1, 101):
-            stats.record_latency(ms / 1e3)
+            stats.record_latencies([ms / 1e3])
         assert stats.latency_percentile(50) == pytest.approx(0.0505)
 
     def test_latency_window_validated(self):
@@ -70,7 +70,7 @@ class TestFacade:
         stats.record_batch(2)
         stats.record_batch(2)
         stats.record_batch(4)
-        stats.record_latency(0.002)
+        stats.record_latencies([0.002])
         snap = stats.snapshot()
         assert snap["counters"]["submitted"] == 2
         assert snap["batch_size_histogram"] == {"2": 2, "4": 1}
@@ -96,7 +96,7 @@ class TestConcurrentWriters:
             for i in range(per_thread):
                 stats.count("submitted")
                 stats.record_batch((seed + i) % 8 + 1)
-                stats.record_latency(0.001 * ((seed + i) % 50 + 1))
+                stats.record_latencies([0.001 * ((seed + i) % 50 + 1)])
                 stats.count("completed")
 
         def reader():
