@@ -143,7 +143,6 @@ def run_workers_sweep(args):
         )
     base = NApproxCellModel(
         window=args.sweep_window,
-        engine="batch",
         cores_per_chip=args.cores_per_chip,
     )
     rows = random_patch_rows(args.sweep_requests, rng=1)
@@ -254,7 +253,7 @@ def run_workers_sweep(args):
 
 
 def run_bench(args) -> int:
-    model = NApproxCellModel(window=args.window, engine="batch")
+    model = NApproxCellModel(window=args.window)
     rows = random_patch_rows(
         args.requests, rng=0, duplicate_fraction=args.duplicate_fraction
     )

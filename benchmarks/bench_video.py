@@ -6,7 +6,7 @@ frame rate, the attributed joules/frame, and the serve LRU hit rate —
 the measured counterpart of the paper's 26 fps full-HD deployment
 claim. Before timing anything the bench runs a conformance probe: the
 same sequence must produce bit-identical per-frame detections on the
-reference, batch, and event engines and across ``--workers 1`` and
+reference and batch engines and across ``--workers 1`` and
 ``--workers 2`` sharded serving; a mismatch aborts with exit code 2.
 
 Usage::
@@ -90,7 +90,7 @@ def run_conformance(workload, args):
         rng=SEQUENCE_SEED,
     )
     keys = {}
-    for engine in ("reference", "batch", "event"):
+    for engine in ("reference", "batch"):
         report = _run_sequence(
             workload, workload.scorer_for_engine(engine), sequence, args
         )
@@ -100,7 +100,7 @@ def run_conformance(workload, args):
             f"{sum(len(k) for k in keys[engine])} detections over "
             f"{len(keys[engine])} frames"
         )
-    engines_identical = keys["reference"] == keys["batch"] == keys["event"]
+    engines_identical = keys["reference"] == keys["batch"]
 
     worker_keys = {}
     for workers in (1, 2):
@@ -118,7 +118,7 @@ def run_conformance(workload, args):
         keys["batch"] == worker_keys[1] == worker_keys[2]
     )
     return {
-        "engines": ["reference", "batch", "event"],
+        "engines": ["reference", "batch"],
         "engines_identical": engines_identical,
         "workers": [0, 1, 2],
         "workers_identical": workers_identical,
@@ -203,7 +203,6 @@ def main() -> int:
         f"n_train={args.n_train} epochs={args.epochs}"
     )
     workload = build_video_workload(
-        engine="batch",
         ticks=args.ticks,
         hidden=args.hidden,
         n_train=args.n_train,

@@ -8,10 +8,11 @@ the committed ones ("baseline"):
 - **throughput** (engine ``batch_windows_per_second``, serve
   ``service_requests_per_second``): fails on a drop of more than
   ``--max-throughput-regression`` (default 10 %);
-- **event-engine sparsity win** (engine ``density_sweep``): fails when
-  the current run's best event-over-batch speedup at input density
-  <= 10 % falls below ``--min-event-speedup`` (default 3x) — an
-  absolute floor, like the overhead budget, not a delta;
+- **sparse-path win** (engine ``density_sweep``): fails when the
+  current run's best ``event_speedup`` — the engine as it ships over
+  its forced-dense self — at input density <= 10 % falls below
+  ``--min-event-speedup`` (default 3x) — an absolute floor, like the
+  overhead budget, not a delta;
 - **observability overhead** (serve ``obs_overhead_fraction`` and the
   sharded worker tier's ``sharded_obs_overhead_fraction``, which adds
   cross-process span and metrics-delta shipping): fails when the
@@ -98,11 +99,11 @@ def _check_throughput(name, metric, baseline, current, max_regression):
 
 
 def _check_event_sweep(current, min_event_speedup):
-    """Absolute floor on the event engine's sparse-density speedup."""
+    """Absolute floor on the sparse path's speedup at sparse density."""
     sweep = current.get("density_sweep")
     if not isinstance(sweep, dict) or not sweep.get("points"):
         print("WARN: BENCH_engine.json: no density_sweep in current run; "
-              "skipping event-engine gate")
+              "skipping sparse-path gate")
         return []
     sparse = [
         point for point in sweep["points"]
@@ -112,26 +113,26 @@ def _check_event_sweep(current, min_event_speedup):
     ]
     if not sparse:
         print("WARN: BENCH_engine.json: density_sweep has no <=10% points; "
-              "skipping event-engine gate")
+              "skipping sparse-path gate")
         return []
     best = max(sparse, key=lambda point: point["event_speedup"])
     speedup = best["event_speedup"]
     verdict = "FAIL" if speedup < min_event_speedup else "ok"
     print(
-        f"{verdict}: BENCH_engine.json: event engine {speedup:.1f}x over "
-        f"batch at density {best['density']:.0%} "
+        f"{verdict}: BENCH_engine.json: engine {speedup:.1f}x over "
+        f"forced-dense at density {best['density']:.0%} "
         f"(floor {min_event_speedup:.1f}x)"
     )
     if speedup < min_event_speedup:
         return [
-            f"BENCH_engine.json: event speedup {speedup:.1f}x at sparse "
-            f"density below the {min_event_speedup:.1f}x floor"
+            f"BENCH_engine.json: speedup over forced-dense {speedup:.1f}x "
+            f"at sparse density below the {min_event_speedup:.1f}x floor"
         ]
     return []
 
 
 def check_engine(baseline, current, args):
-    """Engine throughput, plus the event engine's sparsity floor."""
+    """Engine throughput, plus the sparse path's speedup floor."""
     failures = _check_event_sweep(current, args.min_event_speedup)
     keys = ("workload", "batch_size")
     if _config(baseline, keys) != _config(current, keys):
@@ -338,7 +339,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--min-event-speedup", type=float, default=3.0,
-        help="required event-over-batch speedup at <=10%% input density",
+        help="required speedup over forced-dense at <=10%% input density",
     )
     parser.add_argument(
         "--max-obs-overhead", type=float, default=0.05,

@@ -20,9 +20,6 @@ Usage::
     python -m repro slo <cmd>         # any command + latency/energy SLOs
 
 ``--small`` shrinks the data split for a faster (noisier) run.
-``--engine`` selects the simulation engine (``batch`` = the vectorized
-PR-1 engine, ``event`` = the sparse event-driven engine; both are
-bit-identical to ``reference``) where a command runs the simulator;
 ``--chunk-size`` sets windows per classifier call.
 
 Observability (DESIGN.md §10): ``serve --metrics`` publishes the
@@ -144,14 +141,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--cells", type=int, default=25, help="cells for the validate run"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=["reference", "batch", "event"],
-        default=None,
-        help="simulation engine (validate defaults to reference, "
-        "serve to batch; all engines are bit-identical — 'event' skips "
-        "quiescent cores and is fastest at sparse activity)",
     )
     parser.add_argument(
         "--chunk-size", type=int, default=16,
@@ -307,12 +296,8 @@ def main(argv=None) -> int:
     elif args.experiment == "validate":
         from repro.napprox import correlate_corelet_vs_software
 
-        engine = args.engine or "reference"
-        report = correlate_corelet_vs_software(
-            n_cells=args.cells, rng=42, engine=engine
-        )
-        print(f"corelet vs software over {report.n_cells} cells "
-              f"({engine} engine): "
+        report = correlate_corelet_vs_software(n_cells=args.cells, rng=42)
+        print(f"corelet vs software over {report.n_cells} cells: "
               f"correlation {report.correlation:.4f} (paper: >0.995), "
               f"mean |error| {report.mean_absolute_error:.3f} votes")
     elif args.experiment == "fig4":
@@ -400,7 +385,6 @@ def _serve(args) -> int:
 
     scorer, rows = demo_classifier_workload(
         n_requests=args.requests,
-        engine=args.engine or "batch",
         duplicate_fraction=args.duplicate_fraction,
     )
     flaky = None
@@ -510,8 +494,7 @@ def _video(args) -> int:
         return 2
     if args.small:
         height, width = min(height, 160), min(width, 224)
-    engine = args.engine or "batch"
-    workload_kwargs = {"engine": engine, "ticks": 6, "hidden": 16}
+    workload_kwargs = {"ticks": 6, "hidden": 16}
     if args.small:
         workload_kwargs.update(n_train=24, epochs=8)
     workload = build_video_workload(**workload_kwargs)
@@ -555,7 +538,7 @@ def _video(args) -> int:
 
     print(
         f"streamed {len(report.frames)} {height}x{width} frames "
-        f"({args.motion} motion, {engine} engine"
+        f"({args.motion} motion"
         + (f", {args.workers} workers" if args.workers else "")
         + f"): {report.fps:.2f} fps"
     )
@@ -572,7 +555,6 @@ def _video(args) -> int:
         )
     if args.output:
         payload = {
-            "engine": engine,
             "workers": args.workers,
             "motion": args.motion,
             "shape": [height, width],

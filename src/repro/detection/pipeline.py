@@ -133,7 +133,7 @@ class TrueNorthBinaryScorer:
     feature chunk is stochastically spike-coded and pushed through the
     system in a single :meth:`Simulator.run_batch` call, so with the
     default ``"batch"`` engine the whole chunk advances through the
-    crossbars with one matmul per tick. The score is the spike-count
+    crossbars at once. The score is the spike-count
     margin across the window, identical to what the tick-accurate
     reference engine produces (set ``engine="reference"`` to cross-check
     at ~the batch size's cost).
@@ -143,9 +143,8 @@ class TrueNorthBinaryScorer:
         ticks: spike window per evaluated feature vector.
         positive_class: index of the "person" output.
         rng: seed for the stochastic input coding.
-        engine: simulation engine, ``"batch"`` (default), ``"event"``
-            (skips quiescent cores — fastest at sparse activity), or
-            ``"reference"``; all three are bit-identical.
+        engine: simulation engine, ``"batch"`` (default) or
+            ``"reference"``; the two are bit-identical.
         coding: ``"stream"`` (default) draws every window's spike raster
             from one shared random stream, so scores depend on the order
             windows are presented in. ``"content"`` seeds each window's

@@ -400,7 +400,6 @@ def run(
                     network,
                     ticks=ticks,
                     rng=rng,
-                    engine="batch",
                     coding="content",
                     faults=build_fault_plan(fault_kind, rate, seed=seed),
                 )

@@ -310,9 +310,10 @@ class NApproxCellRunner:
         direction_scale: integer scale Q of the direction tables.
         rng: randomness source (the module itself is deterministic; the
             seed only matters if stochastic neurons are added).
-        engine: simulation engine, ``"reference"`` or ``"batch"``; the
-            batch engine evaluates :meth:`extract_batch` patches in one
-            vectorized pass with bit-identical histograms.
+        engine: simulation engine, ``"batch"`` (default) or
+            ``"reference"``; the batch engine evaluates
+            :meth:`extract_batch` patches in one vectorized pass with
+            histograms bit-identical to the reference's.
         cores_per_chip: when set, place the module across simulated
             chips of this capacity before compiling the engine, so run
             ledgers split router hops into intra- vs cross-chip counts.
@@ -325,7 +326,7 @@ class NApproxCellRunner:
         direction_scale: int = 16,
         magnitude_threshold: int = 4,
         rng: RngLike = 0,
-        engine: str = "reference",
+        engine: str = "batch",
         cores_per_chip: Optional[int] = None,
     ) -> None:
         if window < 1:
@@ -400,9 +401,9 @@ class NApproxCellRunner:
         """Histogram a batch of 10x10 patches in one simulation pass.
 
         On the ``batch`` engine all patches advance through the module
-        simultaneously (one matmul per tick); on the ``reference``
-        engine this falls back to one sequential run per patch. Either
-        way each row equals :meth:`extract` of the corresponding patch.
+        simultaneously; on the ``reference`` engine this falls back to
+        one sequential run per patch. Either way each row equals
+        :meth:`extract` of the corresponding patch.
 
         Args:
             patches: pixel values in ``[0, 1]``, shape ``(n, 10, 10)``.

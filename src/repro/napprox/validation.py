@@ -39,7 +39,6 @@ def correlate_corelet_vs_software(
     direction_scale: int = 16,
     magnitude_threshold: int = 4,
     rng: RngLike = 0,
-    engine: str = "reference",
 ) -> CorrelationReport:
     """Compare corelet histograms against the quantised software model.
 
@@ -54,8 +53,6 @@ def correlate_corelet_vs_software(
         magnitude_threshold: T of the magnitude neurons (same for both
             sides).
         rng: randomness for patch generation.
-        engine: simulation engine for the corelet side, ``"reference"``
-            (default) or the bit-identical vectorized ``"batch"``.
 
     Returns:
         A :class:`CorrelationReport`.
@@ -67,7 +64,6 @@ def correlate_corelet_vs_software(
         window=window,
         direction_scale=direction_scale,
         magnitude_threshold=magnitude_threshold,
-        engine=engine,
     )
     software = NApproxDescriptor(
         NApproxConfig(
@@ -78,15 +74,9 @@ def correlate_corelet_vs_software(
         )
     )
 
-    hardware_rows = []
-    software_rows = []
-    for _ in range(n_cells):
-        patch = random_cell_patch(generator)
-        hardware_rows.append(runner.extract(patch))
-        software_rows.append(software.cell_histogram(patch))
-
-    hw = np.asarray(hardware_rows).ravel()
-    sw = np.asarray(software_rows).ravel()
+    patches = np.stack([random_cell_patch(generator) for _ in range(n_cells)])
+    hw = runner.extract_batch(patches).ravel()
+    sw = np.stack([software.cell_histogram(patch) for patch in patches]).ravel()
     if hw.std() == 0.0 or sw.std() == 0.0:
         correlation = 1.0 if np.array_equal(hw, sw) else 0.0
     else:

@@ -86,8 +86,9 @@ class RunActivity:
     slicing any field by lane is well defined.
 
     Attributes:
-        engine: ``"reference"``, ``"batch"``, or ``"event"`` (which
-            engine produced it).
+        engine: ``"batch"`` or ``"reference"`` (which engine produced
+            it; the batch engine reports ``"batch"`` on either tick
+            path).
         ticks: ticks simulated.
         batch: lanes simulated.
         n_cores: cores in the system.

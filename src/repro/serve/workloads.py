@@ -37,8 +37,6 @@ class NApproxCellModel:
         window: spike window (data ticks) per patch.
         direction_scale: Q of the direction tables.
         magnitude_threshold: T of the magnitude neurons.
-        engine: simulation engine, ``"batch"``, ``"event"``, or
-            ``"reference"`` (all bit-identical).
         cores_per_chip: when set, the 22-core module is placed across
             simulated chips of this capacity, so served RunActivity
             ledgers carry intra- vs cross-chip hop splits. Histograms
@@ -54,14 +52,12 @@ class NApproxCellModel:
         window: int = 32,
         direction_scale: int = 16,
         magnitude_threshold: int = 4,
-        engine: str = "batch",
         cores_per_chip: Optional[int] = None,
     ) -> None:
         self.runner = NApproxCellRunner(
             window=window,
             direction_scale=direction_scale,
             magnitude_threshold=magnitude_threshold,
-            engine=engine,
             cores_per_chip=cores_per_chip,
         )
         self.model_id = (
@@ -173,7 +169,6 @@ def demo_classifier_workload(
     n_features: int = 8,
     hidden: int = 16,
     ticks: int = 8,
-    engine: str = "batch",
     rng: RngLike = 0,
     duplicate_fraction: float = 0.0,
 ) -> Tuple[object, np.ndarray]:
@@ -195,9 +190,7 @@ def demo_classifier_workload(
             TrinaryDense(hidden, 2, rng=1),
         ]
     )
-    scorer = TrueNorthBinaryScorer(
-        network, ticks=ticks, rng=0, engine=engine, coding="content"
-    )
+    scorer = TrueNorthBinaryScorer(network, ticks=ticks, rng=0, coding="content")
     generator = resolve_rng(rng)
     rows = generator.random((n_requests, n_features))
     n_dup = int(n_requests * duplicate_fraction)

@@ -2,7 +2,9 @@
 
 One tick corresponds to the 1 ms synchronisation interval of the real
 hardware; all cores integrate and fire once per tick, and routed spikes are
-delivered after their programmed delay.
+delivered after their programmed delay. :class:`Simulator` runs the
+compiled batch engine (:mod:`repro.truenorth.engine`) by default; the
+per-core ``reference`` loop defined here is the oracle it is held to.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ from repro.truenorth.system import NeurosynapticSystem
 from repro.truenorth.types import CORE_AXONS, CORE_NEURONS
 from repro.utils.rng import RngLike, resolve_rng, spawn_generators
 
-ENGINES = ("reference", "batch", "event")
+ENGINES = ("reference", "batch")
 
 
 @dataclass
@@ -53,26 +55,24 @@ class SimulationResult:
 class Simulator:
     """Runs a system tick by tick, feeding inputs and recording probes.
 
-    Three interchangeable engines back the same API. The ``reference``
-    engine advances one core at a time through
-    :meth:`NeurosynapticCore.tick` and is the tick-accurate ground
-    truth. The ``batch`` engine (:mod:`repro.truenorth.engine`) compiles
-    the system into stacked arrays and evaluates whole batches of input
-    windows with one matmul per tick. The ``event`` engine
-    (:mod:`repro.truenorth.event_engine`) shares that compilation but
-    advances only cores with pending spike deliveries or unsettled leak
-    dynamics, skipping quiescent cores — fastest at sparse activity and
-    small batch sizes. The conformance suite proves all engines'
-    rasters bit-identical to the reference. Single-lane :meth:`run`
-    results are bit-identical across engines for the same ``rng``;
-    :meth:`run_batch` lane ``i`` is bit-identical to a reference run
-    seeded with ``spawn_generators(rng, batch)[i]`` on any engine.
+    Two engines back the same API. The ``batch`` engine (the default,
+    :mod:`repro.truenorth.engine`) compiles the system into stacked
+    arrays and evaluates whole batches of input windows at once; each
+    tick either advances every core with one matmul or, when few cores
+    have work, only the cores a spike reached or whose potentials have
+    not settled. The ``reference`` engine advances one core at a time
+    through :meth:`NeurosynapticCore.tick`; it is the tick-accurate
+    oracle the conformance suite and the golden fixtures hold the batch
+    engine to, bit for bit. Single-lane :meth:`run` results are
+    bit-identical across engines for the same ``rng``; :meth:`run_batch`
+    lane ``i`` is bit-identical to a reference run seeded with
+    ``spawn_generators(rng, batch)[i]`` on either engine.
 
     Args:
         system: the fully configured system to simulate.
         rng: randomness source for stochastic neurons; pass a seed for
             reproducible runs.
-        engine: ``"reference"`` (default), ``"batch"``, or ``"event"``.
+        engine: ``"batch"`` (default) or ``"reference"``.
         faults: optional :class:`repro.faults.FaultPlan` (or an already
             compiled :class:`repro.faults.compile.CompiledFaults`) to
             inject. Every engine injects bit-identically from the same
@@ -85,7 +85,7 @@ class Simulator:
         self,
         system: NeurosynapticSystem,
         rng: RngLike = None,
-        engine: str = "reference",
+        engine: str = "batch",
         faults=None,
     ) -> None:
         if engine not in ENGINES:
@@ -100,17 +100,13 @@ class Simulator:
 
             self._faults = compile_faults(faults, system)
         self._lane = 0  # lane index this simulator plays in a batch run
-        # The compiled engine backing this simulator (BatchEngine or its
-        # event-driven subclass); None means the reference loop runs.
+        # The compiled engine backing this simulator; None means the
+        # reference loop runs.
         self._batch_engine = None
         if engine == "batch":
             from repro.truenorth.engine import BatchEngine
 
             self._batch_engine = BatchEngine(system, faults=self._faults)
-        elif engine == "event":
-            from repro.truenorth.event_engine import EventEngine
-
-            self._batch_engine = EventEngine(system, faults=self._faults)
 
     def run(
         self,
@@ -405,7 +401,9 @@ class Simulator:
         lane_activities = []
         for lane, lane_rng in enumerate(lane_rngs):
             lane_inputs = {name: raster[lane] for name, raster in rasters.items()}
-            lane_sim = Simulator(self.system, rng=lane_rng, faults=self._faults)
+            lane_sim = Simulator(
+                self.system, rng=lane_rng, engine="reference", faults=self._faults
+            )
             lane_sim._lane = lane
             lane_result = lane_sim.run(ticks, lane_inputs, reset=True)
             for name, raster in lane_result.probe_spikes.items():

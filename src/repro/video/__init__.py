@@ -18,7 +18,7 @@ Quick start::
         build_video_workload, synthesize_sequence,
     )
 
-    workload = build_video_workload(engine="event")
+    workload = build_video_workload()
     sequence = synthesize_sequence(VideoConfig(motion="walk", n_frames=8))
     with InferenceService(workload.scorer) as service:
         pipeline = VideoPipeline(

@@ -6,7 +6,7 @@ default, fitting the 128-input budget of
 :func:`~repro.eedn.mapping.deploy_dense_network`), trained on synthetic
 positive/negative windows — and wraps it in a content-coded
 :class:`~repro.detection.pipeline.TrueNorthBinaryScorer` so the serve
-LRU cache is sound and every engine scores bit-identically.
+LRU cache is sound and both engines score bit-identically.
 
 Training features are computed through the *same* code path the
 streaming pipeline uses at inference time
@@ -105,7 +105,6 @@ def _window_rows(
 
 
 def build_video_workload(
-    engine: str = "batch",
     ticks: int = 8,
     hidden: int = 24,
     n_train: int = 48,
@@ -118,9 +117,6 @@ def build_video_workload(
     """Train and deploy the streaming pipeline's window classifier.
 
     Args:
-        engine: simulation engine of the returned scorer (all engines
-            are bit-identical; pick ``"event"`` for sparse-activity
-            speed, ``"batch"`` for dense).
         ticks: spike window per scored feature row.
         hidden: classifier hidden width (2 * hidden axons must fit one
             core, so <= 128).
@@ -174,9 +170,7 @@ def build_video_workload(
         TrainConfig(epochs=epochs, learning_rate=0.01, lr_decay=0.97, logit_scale=8.0),
         rng=resolve_rng(weights_seed + 2),
     )
-    scorer = TrueNorthBinaryScorer(
-        network, ticks=ticks, rng=0, engine=engine, coding="content"
-    )
+    scorer = TrueNorthBinaryScorer(network, ticks=ticks, rng=0, coding="content")
     return VideoWorkload(
         scorer=scorer,
         extractor=extractor,

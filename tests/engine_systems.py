@@ -9,8 +9,11 @@ their seed so the reference engine, the batch engine, and the checked-in
 golden traces all see the identical system.
 """
 
+import contextlib
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterator, Tuple
+from unittest import mock
 
 import numpy as np
 
@@ -21,18 +24,41 @@ from repro.corelets.library.pattern_match import (
     gradient_templates,
 )
 from repro.corelets.library.weighted_sum import NeuronMode, WeightedSumCorelet
-from repro.truenorth.simulator import ENGINES
+from repro.truenorth import engine as batch_engine
 from repro.truenorth.system import NeurosynapticSystem
 from repro.truenorth.types import NeuronParameters, ResetMode
 
-#: The compiled engines, each differentially tested against "reference".
-COMPILED_ENGINES: Tuple[str, ...] = tuple(
-    engine for engine in ENGINES if engine != "reference"
-)
+#: The three ways the batch engine runs, each differentially tested
+#: against "reference": "batch" picks the tick path per tick, "dense"
+#: forces the dense path, "event" forces the sparse, event-driven path.
+BATCH_MODES: Tuple[str, ...] = ("batch", "dense", "event")
+
+#: The reference and every batch-engine mode.
+ALL_MODES: Tuple[str, ...] = ("reference",) + BATCH_MODES
+
+#: The crossover each forced mode pins (``_SPARSE_BELOW`` in
+#: :mod:`repro.truenorth.engine`): 0 never goes sparse, inf always does.
+_FORCED_CROSSOVER = {"dense": 0.0, "event": math.inf}
 
 #: Input spike densities the conformance matrix sweeps: silent, sparse
-#: (the event engine's home turf), realistic, dense, and saturated.
+#: (the sparse path's home turf), realistic, dense, and saturated.
 DENSITIES: Tuple[float, ...] = (0.0, 0.01, 0.1, 0.5, 1.0)
+
+
+@contextlib.contextmanager
+def engine_mode(mode: str) -> Iterator[str]:
+    """Run the batch engine in ``mode`` for the block.
+
+    ``mode`` is ``"reference"`` or one of :data:`BATCH_MODES`; yields
+    the ``Simulator`` engine name to construct with.
+    """
+    if mode not in _FORCED_CROSSOVER:
+        yield mode
+        return
+    with mock.patch.object(
+        batch_engine, "_SPARSE_BELOW", _FORCED_CROSSOVER[mode]
+    ):
+        yield "batch"
 
 
 @dataclass(frozen=True)
@@ -190,12 +216,14 @@ def batched_inputs(
 
 
 __all__ = [
+    "ALL_MODES",
+    "BATCH_MODES",
     "CASES_BY_NAME",
-    "COMPILED_ENGINES",
     "DENSITIES",
     "ENGINE_CASES",
     "EngineCase",
     "batched_inputs",
+    "engine_mode",
     "random_system",
     "shared_inputs",
 ]

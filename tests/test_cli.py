@@ -25,10 +25,15 @@ class TestCli:
         assert "correlation" in out
 
     def test_validate_batch_engine(self, capsys):
-        assert main(["validate", "--cells", "3", "--engine", "batch"]) == 0
-        out = capsys.readouterr().out
-        assert "correlation" in out
-        assert "batch" in out
+        """validate runs on the batch engine; there is no engine flag."""
+        from repro.obs import hwcounters
+
+        with hwcounters.collect() as collector:
+            assert main(["validate", "--cells", "3"]) == 0
+        assert {run.engine for run in collector.runs} == {"batch"}
+        with pytest.raises(SystemExit):
+            main(["validate", "--engine", "batch"])
+        assert "--engine" in capsys.readouterr().err
 
     def test_serve_smoke(self, capsys):
         assert main(["serve", "--requests", "24", "--concurrency", "4",
@@ -43,13 +48,12 @@ class TestCli:
         output = tmp_path / "video.json"
         assert main([
             "video", "--small", "--frames", "2", "--motion", "static",
-            "--engine", "event", "--output", str(output),
+            "--output", str(output),
         ]) == 0
         out = capsys.readouterr().out
         assert "2 160x224 frames" in out
         assert "cache hit rate" in out
         payload = json.loads(output.read_text())
-        assert payload["engine"] == "event"
         assert payload["motion"] == "static"
         assert len(payload["per_frame"]) == 2
         assert payload["degraded_frames"] == 0

@@ -1,4 +1,4 @@
-"""Replay the checked-in golden spike traces through every engine.
+"""Replay the checked-in golden spike traces through every engine mode.
 
 The differential conformance suite proves the engines agree with *each
 other*; these fixtures pin them to rasters recorded at a known-good
@@ -19,7 +19,12 @@ import pytest
 
 from repro.truenorth.simulator import ENGINES, Simulator
 
-from tests.engine_systems import CASES_BY_NAME, ENGINE_CASES, shared_inputs
+from tests.engine_systems import (
+    ALL_MODES,
+    CASES_BY_NAME,
+    ENGINE_CASES,
+    shared_inputs,
+)
 from tests.fixtures.golden.generate import case_payload, render
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "fixtures" / "golden"
@@ -52,7 +57,7 @@ def test_goldens_were_verified_against_every_registered_engine():
         )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
 @pytest.mark.parametrize(
     "path", GOLDEN_FILES, ids=[path.stem for path in GOLDEN_FILES]
 )

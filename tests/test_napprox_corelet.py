@@ -22,6 +22,11 @@ def runner():
     return NApproxCellRunner(window=32, rng=0)
 
 
+@pytest.fixture(scope="module")
+def reference_runner():
+    return NApproxCellRunner(window=32, rng=0, engine="reference")
+
+
 class TestFootprint:
     def test_core_count_near_paper(self):
         footprint = NApproxCellCorelet().build(NeurosynapticSystem())
@@ -102,19 +107,17 @@ class TestBatchExtraction:
         singles = np.stack([runner.extract(patch) for patch in patches])
         np.testing.assert_array_equal(runner.extract_batch(patches), singles)
 
-    def test_batch_engine_matches_reference_runner(self, runner):
+    def test_batch_engine_matches_reference_runner(self, runner, reference_runner):
         rng = np.random.default_rng(8)
         patches = rng.random((3, 10, 10))
-        batch_runner = NApproxCellRunner(window=32, rng=0, engine="batch")
         np.testing.assert_array_equal(
-            batch_runner.extract_batch(patches), runner.extract_batch(patches)
+            runner.extract_batch(patches), reference_runner.extract_batch(patches)
         )
 
-    def test_batch_engine_single_extract_matches(self, runner):
+    def test_batch_engine_single_extract_matches(self, runner, reference_runner):
         patch = np.tile(np.linspace(0.1, 0.9, 10), (10, 1))
-        batch_runner = NApproxCellRunner(window=32, rng=0, engine="batch")
         np.testing.assert_array_equal(
-            batch_runner.extract(patch), runner.extract(patch)
+            runner.extract(patch), reference_runner.extract(patch)
         )
 
     def test_empty_batch(self, runner):

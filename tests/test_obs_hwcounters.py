@@ -24,7 +24,7 @@ from repro.truenorth.energy import (
 )
 from repro.truenorth.simulator import Simulator
 
-from tests.engine_systems import CASES_BY_NAME, batched_inputs
+from tests.engine_systems import CASES_BY_NAME, batched_inputs, engine_mode
 
 
 def make_activity(batch=3, ticks=4, n_cores=2, engine="batch", seed=0):
@@ -200,7 +200,7 @@ class TestRecordRun:
         assert collector.runs == []
         assert self._saved.get("hw_spikes_total") is None
 
-    @pytest.mark.parametrize("engine", ["batch", "event"])
+    @pytest.mark.parametrize("engine", ["batch", "event"], indirect=True)
     def test_disabled_engine_skips_the_ledger(self, engine):
         case = CASES_BY_NAME["pattern_match"]
         inputs = batched_inputs(
@@ -232,24 +232,25 @@ class TestParrotEnergyParity:
         network, _, _ = tiny_parrot
         cells = np.random.default_rng(11).random((4, 64))
         energies = {}
-        for engine in ("batch", "event", "reference"):
-            extractor = ParrotExtractor(
-                network,
-                ParrotFeatureConfig(spikes=4),
-                rng=7,
-                backend="truenorth",
-                engine=engine,
-            )
-            with hwcounters.collect() as collector:
-                extractor.cell_histograms_batch(cells)
-            energies[engine] = collector.lane_energy_joules()
-        for engine, joules in energies.items():
-            assert joules.shape == (4,), engine
-            assert np.all(joules > 0), engine
+        for mode in ("batch", "event", "reference"):
+            with engine_mode(mode) as engine:
+                extractor = ParrotExtractor(
+                    network,
+                    ParrotFeatureConfig(spikes=4),
+                    rng=7,
+                    backend="truenorth",
+                    engine=engine,
+                )
+                with hwcounters.collect() as collector:
+                    extractor.cell_histograms_batch(cells)
+            energies[mode] = collector.lane_energy_joules()
+        for mode, joules in energies.items():
+            assert joules.shape == (4,), mode
+            assert np.all(joules > 0), mode
         np.testing.assert_allclose(
             energies["batch"], energies["reference"], rtol=0.01
         )
-        # The compiled engines share one ledger implementation and are
+        # Both tick paths fill one ledger implementation and are
         # counter-parity tested bit for bit, so their derived energies
         # must agree exactly, not just within tolerance.
         np.testing.assert_array_equal(energies["event"], energies["batch"])

@@ -24,6 +24,8 @@ from repro.serve import (
     random_patch_rows,
 )
 
+from tests.engine_systems import engine_mode
+
 
 def _small_scorer(coding="content", engine="batch"):
     network = EednNetwork(
@@ -92,35 +94,40 @@ class TestScorerDifferential:
 
 
 class TestEventEngineDifferential:
-    """The event engine through the serving stack, vs the batch engine.
+    """The sparse, event-driven tick path through the serving stack.
 
-    Served scores, cache identity, and attributed energy must match the
-    batch engine byte for byte — the engine choice is an implementation
-    detail the serving layer (and its cache) must be unable to observe.
+    With the batch engine forced onto its sparse path, served scores,
+    cache identity, and attributed energy must match the dense path
+    byte for byte — the tick path (like the engine) is an
+    implementation detail the serving layer and its cache must be
+    unable to observe.
     """
 
     def test_served_scores_bit_identical_to_batch(self):
         rows = np.random.default_rng(5).random((30, 8))
-        direct_batch = _small_scorer(engine="batch").decision_function(rows)
-        with InferenceService(
-            _small_scorer(engine="event"), max_batch_size=8, max_wait_ms=1.0
+        with engine_mode("dense"):
+            direct_dense = _small_scorer().decision_function(rows)
+        with engine_mode("event"), InferenceService(
+            _small_scorer(), max_batch_size=8, max_wait_ms=1.0
         ) as svc:
-            served_event = svc.score_many(rows)
-        np.testing.assert_array_equal(direct_batch, served_event)
+            served_sparse = svc.score_many(rows)
+        np.testing.assert_array_equal(direct_dense, served_sparse)
 
     def test_cache_keys_match_batch_engine(self):
         """model_id excludes the engine, so caches are shared across it."""
-        batch_scorer = _small_scorer(engine="batch")
-        event_scorer = _small_scorer(engine="event")
-        assert event_scorer.model_id == batch_scorer.model_id
-        assert event_scorer.cacheable and batch_scorer.cacheable
+        batch_scorer = _small_scorer()
+        reference_scorer = _small_scorer(engine="reference")
+        assert reference_scorer.model_id == batch_scorer.model_id
+        assert reference_scorer.cacheable and batch_scorer.cacheable
 
     def test_cache_hits_are_bit_identical(self):
-        scorer = _small_scorer(engine="event")
         rows = np.random.default_rng(6).random((10, 8))
         duplicated = np.vstack([rows, rows, rows])
-        direct = _small_scorer(engine="batch").decision_function(duplicated)
-        with InferenceService(scorer, max_batch_size=4) as svc:
+        with engine_mode("dense"):
+            direct = _small_scorer().decision_function(duplicated)
+        with engine_mode("event"), InferenceService(
+            _small_scorer(), max_batch_size=4
+        ) as svc:
             svc.score_many(rows)  # warm the cache deterministically
             served = svc.score_many(duplicated)
             assert svc.stats.counter("cache_hits") == 30
@@ -131,23 +138,21 @@ class TestEventEngineDifferential:
 
         Counter parity makes the per-lane ledgers bit-identical and
         per-lane energy is independent of micro-batch composition, so
-        the attributed totals must match to the bit even though the two
-        services batch the request stream differently.
+        the attributed totals must match to the bit even though the
+        tick paths differ.
         """
         rows = np.random.default_rng(8).random((12, 8))
         totals = {}
-        for engine in ("batch", "event"):
-            with InferenceService(
-                _small_scorer(engine=engine),
-                max_batch_size=4,
-                max_wait_ms=1.0,
+        for mode in ("dense", "event"):
+            with engine_mode(mode), InferenceService(
+                _small_scorer(), max_batch_size=4, max_wait_ms=1.0
             ) as svc:
                 svc.score_many(rows)
                 snapshot = svc.stats.snapshot()
             assert snapshot["energy_nj"]["count"] == len(rows)
-            totals[engine] = snapshot["energy_nj"]["total"]
-        assert totals["batch"] > 0
-        assert totals["event"] == totals["batch"]
+            totals[mode] = snapshot["energy_nj"]["total"]
+        assert totals["dense"] > 0
+        assert totals["event"] == totals["dense"]
 
     def test_detector_through_service_matches_batch(self):
         image = np.random.default_rng(9).random((40, 40))
@@ -162,9 +167,10 @@ class TestEventEngineDifferential:
                 chunk_size=5,
             )
 
-        direct = build(_small_scorer(engine="batch")).detect(image)
-        with InferenceService(
-            _small_scorer(engine="event"), max_batch_size=8, max_wait_ms=1.0
+        with engine_mode("dense"):
+            direct = build(_small_scorer()).detect(image)
+        with engine_mode("event"), InferenceService(
+            _small_scorer(), max_batch_size=8, max_wait_ms=1.0
         ) as svc:
             served = build(ServiceBackedScorer(svc)).detect(image)
         assert direct == served
@@ -194,7 +200,7 @@ class TestDetectorDifferential:
         assert len(direct) > 0
 
     def test_napprox_cells_through_service_bit_identical(self):
-        model = NApproxCellModel(window=8, engine="batch")
+        model = NApproxCellModel(window=8)
         rows = random_patch_rows(6, rng=4)
         direct = model(rows)
         with InferenceService(model, max_batch_size=4, max_wait_ms=1.0) as svc:

@@ -286,7 +286,7 @@ class TestChunkAdmission:
     def _energy_model():
         from repro.serve import NApproxCellModel
 
-        return NApproxCellModel(window=8, engine="batch")
+        return NApproxCellModel(window=8)
 
     def test_chunk_equals_row_by_row(self):
         from repro.serve import random_patch_rows

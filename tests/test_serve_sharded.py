@@ -252,14 +252,14 @@ class TestEngineWorkloadParity:
 
     def test_engine_scores_ledgers_energy_match(self, rows):
         with InferenceService(
-            NApproxCellModel(window=8, engine="batch", cores_per_chip=8),
+            NApproxCellModel(window=8, cores_per_chip=8),
             max_batch_size=4,
             max_wait_ms=1.0,
         ) as single:
             expected = single.score_many(rows)
             single_snap = single.stats.snapshot()
         with _sharded(
-            NApproxCellModel(window=8, engine="batch", cores_per_chip=8),
+            NApproxCellModel(window=8, cores_per_chip=8),
             workers=2,
             max_batch_size=4,
             result_timeout_s=2.0,
@@ -294,7 +294,7 @@ class TestShardedChunkAdmission:
         rows = random_patch_rows(10, rng=13)
 
         def model():
-            return NApproxCellModel(window=8, engine="batch")
+            return NApproxCellModel(window=8)
 
         # One shard: its batches finish in queue order, so the energy
         # counter sums the same floats in the same order in both arms.

@@ -1,9 +1,9 @@
-"""Multi-chip placement accounting across all three engines.
+"""Multi-chip placement accounting across engines and tick paths.
 
-PR-8's scale-out tier routes spikes between simulated chips, so the
+The scale-out tier routes spikes between simulated chips, so the
 activity ledgers must split router traffic into intra- vs cross-chip
-hops — and the split must be *bit-identical* across the reference,
-batch, and event engines, clean and under routing faults, because the
+hops — and the split must be *bit-identical* across the reference and
+every batch-engine mode, clean and under routing faults, because the
 sharded serving tier re-records worker ledgers as if they were local.
 
 Invariants under test:
@@ -31,9 +31,14 @@ from repro.truenorth import (
 from repro.truenorth.placement import best_placement
 from repro.truenorth.simulator import Simulator
 
-from tests.engine_systems import random_system, shared_inputs, batched_inputs
+from tests.engine_systems import (
+    ALL_MODES,
+    BATCH_MODES,
+    batched_inputs,
+    random_system,
+    shared_inputs,
+)
 
-ALL_ENGINES = ("reference", "batch", "event")
 TICKS = 24
 
 FAULT_PLANS = {
@@ -115,7 +120,7 @@ class TestChipTopology:
 
 
 class TestHopSplitSemantics:
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     def test_single_chip_has_zero_cross_hops(self, engine):
         system = _chain_system()
         sim = Simulator(system, rng=123, engine=engine)
@@ -126,7 +131,7 @@ class TestHopSplitSemantics:
             activity.intra_chip_hops, activity.router_hops
         )
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     def test_one_core_per_chip_makes_every_hop_cross(self, engine):
         sim, _ = _placed_sim(engine, cores_per_chip=1)
         inputs = shared_inputs(sim.system, TICKS, 7, 0.3)
@@ -137,7 +142,7 @@ class TestHopSplitSemantics:
         )
         assert int(activity.intra_chip_hops.sum()) == 0
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     @pytest.mark.parametrize("fault", sorted(FAULT_PLANS))
     def test_split_sums_to_router_hops(self, engine, fault):
         sim, _ = _placed_sim(engine, cores_per_chip=2, faults=FAULT_PLANS[fault])
@@ -162,7 +167,7 @@ class TestHopSplitSemantics:
 class TestCrossEngineConformance:
     """The multi-chip ledgers join the bit-identity contract."""
 
-    @pytest.mark.parametrize("engine", ("batch", "event"))
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("fault", sorted(FAULT_PLANS))
     def test_hop_split_matches_reference(self, engine, fault):
         ref_sim, _ = _placed_sim(
@@ -183,7 +188,7 @@ class TestCrossEngineConformance:
                 err_msg=f"{field} ({engine}, {fault})",
             )
 
-    @pytest.mark.parametrize("engine", ("batch", "event"))
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_batched_hop_split_matches_reference(self, engine):
         batch = 5
         ref_sim, _ = _placed_sim("reference", cores_per_chip=2)
@@ -198,7 +203,7 @@ class TestCrossEngineConformance:
                 err_msg=field,
             )
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     def test_placement_does_not_change_results(self, engine):
         """Chip assignment is pure accounting: spikes are untouched."""
         unplaced = Simulator(_chain_system(), rng=123, engine=engine)

@@ -148,7 +148,7 @@ class TestLaneGenerators:
         monkeypatch.setattr(simulator_module, "spawn_generators", spawn)
         return calls
 
-    @pytest.mark.parametrize("engine", ["batch", "event"])
+    @pytest.mark.parametrize("engine", ["batch", "event"], indirect=True)
     def test_deterministic_system_never_spawns(self, monkeypatch, engine):
         from tests.engine_systems import CASES_BY_NAME, batched_inputs
 
@@ -161,14 +161,16 @@ class TestLaneGenerators:
         )
         assert calls == []
         # Same rasters as the reference, which always spawns per lane.
-        reference = Simulator(system, rng=case.sim_seed).run_batch(
+        reference = Simulator(
+            system, rng=case.sim_seed, engine="reference"
+        ).run_batch(
             case.ticks, inputs
         )
         assert calls == [4]
         for name, raster in reference.probe_spikes.items():
             assert np.array_equal(lazy.probe_spikes[name], raster)
 
-    @pytest.mark.parametrize("engine", ["batch", "event"])
+    @pytest.mark.parametrize("engine", ["batch", "event"], indirect=True)
     def test_stochastic_system_still_spawns(self, monkeypatch, engine):
         from tests.engine_systems import CASES_BY_NAME, batched_inputs
 
