@@ -25,10 +25,16 @@ the perf trajectory is tracked across PRs):
 
     PYTHONPATH=src python benchmarks/bench_engine_batch.py --quick
 
+The timed batch run also records the engine's phase split — the
+``engine_phase_seconds_total{phase=deliver|integrate|fire|route}``
+accumulators against the ``engine.run`` span — so the payload says
+where the engine's time goes, not only how much of it there is.
+
 ``--quick`` keeps the whole run within a CI smoke budget (~10 s);
 ``--check`` exits non-zero below the acceptance speedup of 5x (batch vs
-reference), below 3x over forced-dense at sparse density, or below
-0.8x of forced-dense at density 0.5 or 1.0.
+reference), below 3x over forced-dense at sparse density, below 0.8x
+of forced-dense at density 0.5 or 1.0, or when the phases account for
+less than 90 % of the measured ``engine.run`` time.
 """
 
 import argparse
@@ -41,6 +47,7 @@ from unittest import mock
 import numpy as np
 
 from repro.napprox.corelet_impl import NApproxCellRunner
+from repro.obs import get_registry, span_metric_name
 from repro.truenorth import engine as batch_engine
 from repro.truenorth.simulator import Simulator
 from repro.truenorth.system import NeurosynapticSystem
@@ -57,6 +64,10 @@ SWEEP_DENSITIES = (0.01, 0.05, 0.10, 0.50, 1.00)
 #: fraction of the forced-dense throughput.
 DENSE_DENSITIES = (0.50, 1.00)
 MIN_DENSE_RATIO = 0.8
+
+#: The engine phases must account for at least this share of the
+#: measured ``engine.run`` time, or the split misattributes the engine.
+MIN_PHASE_COVERAGE = 0.9
 
 
 def _time(fn):
@@ -104,6 +115,34 @@ def sparse_chain_system(n_cores: int = 128) -> NeurosynapticSystem:
 def _forced_dense():
     """Pin the batch engine to its dense path for the block."""
     return mock.patch.object(batch_engine, "_SPARSE_BELOW", 0.0)
+
+
+def _engine_seconds():
+    """``(engine.run span seconds, {phase: seconds})`` recorded so far."""
+    registry = get_registry()
+    run = registry.get(span_metric_name("engine.run"))
+    phases = {}
+    for phase in batch_engine.PHASES:
+        metric = registry.get("engine_phase_seconds_total", {"phase": phase})
+        phases[phase] = metric.value if metric is not None else 0.0
+    return (run.sum if run is not None else 0.0), phases
+
+
+def phase_split(before, after) -> dict:
+    """The ``phase_split`` payload section between two readings.
+
+    ``before`` and ``after`` are :func:`_engine_seconds` readings taken
+    around the timed work. Returns the measured ``engine.run`` seconds,
+    each phase's seconds, and ``coverage``, the share of the run time
+    the phases account for.
+    """
+    run_seconds = after[0] - before[0]
+    phases = {phase: after[1][phase] - before[1][phase] for phase in after[1]}
+    return {
+        "engine_run_seconds": run_seconds,
+        "phase_seconds": phases,
+        "coverage": sum(phases.values()) / run_seconds if run_seconds else 0.0,
+    }
 
 
 def _runs_per_second(sim, ticks, inputs, seconds: float) -> float:
@@ -207,7 +246,9 @@ def run_bench(
 
     # Warm-up: first batch run pays numpy allocation/caching overheads.
     batch_runner.extract_batch(patches[: min(4, batch)])
+    before = _engine_seconds()
     batch_hist, batch_seconds = _time(lambda: batch_runner.extract_batch(patches))
+    split = phase_split(before, _engine_seconds())
     batch_rate = batch / batch_seconds
 
     ref_hist, ref_seconds = _time(
@@ -232,6 +273,15 @@ def run_bench(
         f"= {batch_rate:7.2f} windows/s"
     )
     print(f"speedup: {speedup:.1f}x (outputs bit-identical)")
+    print(
+        "engine phases: "
+        + ", ".join(
+            f"{phase} {seconds:.3f}s"
+            for phase, seconds in split["phase_seconds"].items()
+        )
+        + f" = {split['coverage']:.1%} of engine.run "
+        f"{split['engine_run_seconds']:.3f}s"
+    )
 
     payload = {
         "benchmark": "bench_engine_batch",
@@ -246,6 +296,7 @@ def run_bench(
         "batch_windows_per_second": batch_rate,
         "speedup": speedup,
         "bit_identical": True,
+        "phase_split": split,
     }
     payload["density_sweep"] = run_density_sweep(seconds=sweep_seconds)
     points = payload["density_sweep"]["points"]
@@ -274,6 +325,13 @@ def run_bench(
         print(
             f"FAIL: speedup over forced-dense {sparse_speedup:.1f}x at sparse "
             f"density < required {min_event_speedup}x",
+            file=sys.stderr,
+        )
+        return 1
+    if check and split["coverage"] < MIN_PHASE_COVERAGE:
+        print(
+            f"FAIL: engine phases cover {split['coverage']:.1%} of engine.run "
+            f"< required {MIN_PHASE_COVERAGE:.0%}",
             file=sys.stderr,
         )
         return 1

@@ -9,7 +9,9 @@ drifts from the exposition style fails here instead of silently
 shipping.
 """
 
-from repro.obs import MetricsRegistry, naming_violations, observe_span
+import numpy as np
+
+from repro.obs import MetricsRegistry, naming_violations, observe_span, set_registry
 from repro.obs.slo import evaluate_objectives, publish_results
 from repro.serve.stats import ServiceStats
 
@@ -88,6 +90,31 @@ class TestRealSubsystemsConform:
             ).observe(0.002)
         registry.counter("video_frames_total").inc()
         assert naming_violations(registry) == []
+
+    def test_engine_run_metrics_are_clean(self):
+        """A batch-engine run registers clean names, phase split included."""
+        from repro.truenorth import NeurosynapticSystem, NeuronParameters, Simulator
+        from repro.truenorth.engine import PHASES
+
+        system = NeurosynapticSystem("one-core")
+        core = system.new_core()
+        core.connect(0, 0)
+        core.set_neuron(0, NeuronParameters(weights=(1, 1, 1, 1)))
+        system.add_input_port("in", [[(0, 0)]])
+        system.add_output_probe("out", [(0, 0)])
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            Simulator(system, rng=0).run(8, {"in": np.ones((8, 1), dtype=bool)})
+        finally:
+            set_registry(previous)
+        assert naming_violations(registry) == []
+        phases = [
+            registry.get("engine_phase_seconds_total", {"phase": phase})
+            for phase in PHASES
+        ]
+        assert all(metric is not None for metric in phases)
+        assert sum(metric.value for metric in phases) > 0
 
     def test_process_default_names_are_clean(self):
         """The names other subsystems hardcode all pass the convention."""
