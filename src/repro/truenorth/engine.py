@@ -851,7 +851,7 @@ class BatchEngine:
                     sel = np.flatnonzero(active)
                     dense = sel.size and span(sel) >= sparse_below
                     pass_went_dense = dense
-            if sel.size == 0:
+            if not dense and sel.size == 0:
                 # Every core is at a no-input fixed point: the tick is
                 # the identity (no spikes, probes or counters).
                 t_deliver += clock() - t0
