@@ -3,8 +3,9 @@
 The workload is the pedestrian-detection hot path — NApprox HoG cell
 windows (10x10 patches through the 22-core cell module) — the unit the
 paper's throughput numbers are denominated in. The batch engine pushes
-all windows through the module simultaneously (one stacked matmul per
-tick); the reference engine advances core by core, window by window.
+all windows through the module simultaneously (one matmul per core
+with deliveries per tick); the reference engine advances core by core,
+window by window.
 Conformance is asserted on the benchmarked outputs themselves before any
 timing is reported.
 
@@ -83,8 +84,8 @@ def sparse_chain_system(n_cores: int = 128) -> NeurosynapticSystem:
     1) each fed by one dedicated input line, with every even core
     routing a 16-neuron bundle into its successor — so activity follows
     input density closely (a line at density ``d`` keeps its core
-    active ~``d`` of the time) while the dense path still pays the
-    full ``n_cores`` stacked matmul every tick.
+    active ~``d`` of the time) while the dense path still advances
+    every neuron of all ``n_cores`` cores every tick.
     """
     system = NeurosynapticSystem("sparse-chain")
     identity = np.eye(256, dtype=bool)
@@ -318,31 +319,30 @@ def run_bench(
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {path}")
 
-    if check and speedup < min_speedup:
-        print(f"FAIL: speedup {speedup:.1f}x < required {min_speedup}x", file=sys.stderr)
-        return 1
-    if check and sparse_speedup < min_event_speedup:
-        print(
-            f"FAIL: speedup over forced-dense {sparse_speedup:.1f}x at sparse "
-            f"density < required {min_event_speedup}x",
-            file=sys.stderr,
+    if not check:
+        return 0
+    # Every gate is evaluated and reported before the exit status.
+    failures = []
+    if split["coverage"] < MIN_PHASE_COVERAGE:
+        failures.append(
+            f"engine phases cover {split['coverage']:.1%} of engine.run "
+            f"< required {MIN_PHASE_COVERAGE:.0%}"
         )
-        return 1
-    if check and split["coverage"] < MIN_PHASE_COVERAGE:
-        print(
-            f"FAIL: engine phases cover {split['coverage']:.1%} of engine.run "
-            f"< required {MIN_PHASE_COVERAGE:.0%}",
-            file=sys.stderr,
+    if speedup < min_speedup:
+        failures.append(f"speedup {speedup:.1f}x < required {min_speedup}x")
+    if sparse_speedup < min_event_speedup:
+        failures.append(
+            f"speedup over forced-dense {sparse_speedup:.1f}x at sparse "
+            f"density < required {min_event_speedup}x"
         )
-        return 1
-    if check and dense_ratio < MIN_DENSE_RATIO:
-        print(
-            f"FAIL: {dense_ratio:.2f}x of forced-dense at dense input "
-            f"< required {MIN_DENSE_RATIO}x",
-            file=sys.stderr,
+    if dense_ratio < MIN_DENSE_RATIO:
+        failures.append(
+            f"{dense_ratio:.2f}x of forced-dense at dense input "
+            f"< required {MIN_DENSE_RATIO}x"
         )
-        return 1
-    return 0
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def main() -> int:

@@ -437,6 +437,29 @@ class TestCounterParity:
         assert_ledgers_identical(ref, got)
 
     @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
+    def test_counters_of_runs_longer_than_the_log_buffer(self, engine):
+        """The engine buffers its counters ``_LOG_TICKS`` ticks at a
+        time. Each four-tick burst makes every core fire once and then
+        settle at 0, so the sparse path skips the ticks in between,
+        among them the ones whose buffer rows held spikes before the
+        last fold; the ledger must stay bit-identical, per tick and per
+        core."""
+        log_ticks = batch_engine._LOG_TICKS
+        ticks = 2 * log_ticks + 9
+        raster = np.zeros((3, ticks, 4), dtype=bool)
+        for start in (0, log_ticks + 6, 2 * log_ticks + 1):
+            raster[:, start : start + 4, :] = True
+        raster[1, log_ticks + 6 :, 2:] = False  # lanes differ
+        ref = Simulator(_leaky_cores(), rng=0, engine="reference").run_batch(
+            ticks, {"in": raster}
+        )
+        compiled = Simulator(_leaky_cores(), rng=0, engine=engine)
+        got = compiled.run_batch(ticks, {"in": raster})
+        assert_results_identical(ref, got)
+        assert_ledgers_identical(ref.activity, got.activity)
+        assert got.activity.spikes_per_tick[:, log_ticks:].any()
+
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_spikes_field_matches_total_spikes(self, engine):
         case = _case("pattern_match")
         sim = Simulator(case.build(), rng=case.sim_seed, engine=engine)
