@@ -11,14 +11,14 @@ Conformance is asserted before timing: served histograms must be
 bit-identical to direct ``extract_batch`` calls.
 
 The load is timed in paired arms — the observability layer fully on
-(hardware counters + flight recorder + span tracing; the shipping
+(hardware counters + span and event tracing; the shipping
 configuration and the headline number) vs configured off — after an
 untimed warmup, with the arm order alternating per repeat; the median
 of per-pair throughput ratios lands in ``BENCH_serve.json`` as
 ``obs_overhead_fraction``. The same paired measurement then runs
 through the forked worker tier (``ShardedInferenceService``,
 workers=2), where observability additionally pays for cross-process
-span and metrics-delta shipping, landing as
+trace-record and metrics-delta shipping, landing as
 ``sharded_obs_overhead_fraction``. The acceptance budget for both is
 <=5 % (DESIGN.md §12, §16), enforced against the committed baseline by
 ``benchmarks/check_regression.py``.
@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs import flight, hwcounters, tracing
+from repro.obs import hwcounters, tracing
 from repro.serve import (
     HardwarePacedModel,
     InferenceService,
@@ -60,11 +60,10 @@ def _configure_obs(enabled: bool) -> None:
     """Flip the whole observability layer on or off for a timed arm.
 
     Covers every telemetry source the serving path touches: hardware
-    activity counters, the flight recorder, and span tracing (whose
-    cross-process shipping is the sharded tier's marginal cost).
+    activity counters and the trace log of spans and lifecycle events
+    (whose cross-process shipping is the sharded tier's marginal cost).
     """
     hwcounters.configure(enabled)
-    flight.configure(enabled)
     tracing.configure(enabled)
 
 
@@ -273,7 +272,7 @@ def run_bench(args) -> int:
 
     # Timed loads, paired on/off arms: observability fully on (the
     # shipping configuration and the headline number) vs hardware
-    # counters, flight recorder, and span tracing configured off — the
+    # counters and span/event tracing configured off — the
     # baseline the <=5 % obs-overhead budget is measured against. A
     # warmup load pays the cold-start costs outside the timed arms,
     # the arm order alternates per repeat, and the overhead is the

@@ -29,9 +29,9 @@ histogram, cache hit rate, and per-span timings, plus a
 Prometheus-style text exposition (``--metrics-output PATH`` writes the
 exposition to a file — the CI ``obs-smoke`` job scrapes it).
 ``trace <cmd>`` runs any other command and then prints the span
-aggregates and the tail of the span ring buffer; ``--export PATH``
-additionally stitches the run's spans and flight events into
-per-request traces (``docs/OBSERVABILITY.md``) and writes Chrome
+aggregates and the tail of the trace log (spans and lifecycle events
+in one ring); ``--export PATH`` additionally groups the run's records
+into per-request traces (``docs/OBSERVABILITY.md``) and writes Chrome
 trace-event JSON for ``chrome://tracing`` / Perfetto, and video runs
 get the per-stage/per-level frame latency breakdown. ``slo <cmd>``
 (DESIGN.md §16) runs any other command with metrics forced on and then
@@ -50,9 +50,9 @@ nJ/lane, sustained mW) and a top-N hot-core table
 (``--output PATH`` writes the JSON, ``--top N`` sizes the table). The
 per-core rollup is also published as labeled
 ``hw_core_spikes_total{core="..."}`` registry counters. ``serve
---flight-dump PATH`` arms the flight recorder: the bounded structured
-event log is written to PATH when the run ends and automatically on
-request failure or breaker-open.
+--flight-dump PATH`` writes the trace log — the bounded ring of spans
+and lifecycle events, worker-side records included — to PATH when the
+run ends and automatically on request failure or breaker-open.
 
 Fault injection (DESIGN.md §11, ``docs/FAULT_MODEL.md``): ``faults``
 sweeps a hardware fault rate and reports detection miss-rate
@@ -193,8 +193,8 @@ def main(argv=None) -> int:
     )
     serve_group.add_argument(
         "--flight-dump", default=None, metavar="PATH",
-        help="write the flight-recorder event log to PATH at exit (and "
-        "automatically on request failure or breaker-open)",
+        help="write the trace log (spans and lifecycle events) to PATH "
+        "at exit (and automatically on request failure or breaker-open)",
     )
     serve_group.add_argument(
         "--flaky-rate", type=float, default=0.0,
@@ -466,10 +466,10 @@ def _serve(args) -> int:
     if registry is not None and not args.metrics_output:
         print(exposition, end="")
     if args.flight_dump:
-        from repro.obs import flight_recorder
+        from repro.obs import trace_log
 
-        retained = flight_recorder().dump(args.flight_dump, reason="serve_exit")
-        print(f"wrote flight dump ({retained} events) to {args.flight_dump}")
+        retained = trace_log().dump(args.flight_dump, reason="serve_exit")
+        print(f"wrote flight dump ({retained} records) to {args.flight_dump}")
     if not report.accounted:
         print("FAIL: requests lost or failed", file=sys.stderr)
         return 1
@@ -575,8 +575,8 @@ def _video(args) -> int:
 def _trace(argv) -> int:
     """Run ``argv`` as a normal command, then print the span summary.
 
-    ``--export PATH`` additionally assembles the run's spans and flight
-    events into per-request traces and writes them as Chrome
+    ``--export PATH`` additionally groups the run's spans and events
+    into per-request traces and writes them as Chrome
     trace-event JSON (open in ``chrome://tracing`` or Perfetto); for
     video runs the per-stage/per-level latency breakdown from the
     ``video_stage_seconds`` histograms is printed too.
@@ -616,13 +616,12 @@ def _trace(argv) -> int:
         )
     tail = trace_log().entries()[-20:]
     if tail:
-        print("== last spans (ring buffer tail) ==")
+        print("== last records (trace log tail) ==")
         for record in tail:
-            indent = "  " * record.depth
-            print(
-                f"{indent}{record.path} {record.duration_s * 1e3:.2f}ms "
-                f"[{record.thread}]"
+            timing = (
+                "event" if record.instant else f"{record.duration_s * 1e3:.2f}ms"
             )
+            print(f"{'  ' * record.depth}{record.path} {timing} [{record.thread}]")
     breakdown = frame_stage_breakdown()
     if breakdown:
         print("== frame stage breakdown (video_stage_seconds) ==")

@@ -6,7 +6,7 @@ line that marks the readout phase, producing clean decisions unaffected by
 transient indicator firings earlier in the window.
 """
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -106,25 +106,4 @@ class GatedLogicCorelet(Corelet):
         return self._collect(list(evaluator.inputs), outputs, core_ids)
 
 
-def and_gate_weights(
-    inputs_per_gate: Sequence[Sequence[int]], n_data: int
-) -> np.ndarray:
-    """Weight matrix for per-output AND over selected data lines.
-
-    Args:
-        inputs_per_gate: for each gate, the data-line indices it requires.
-        n_data: total number of data lines.
-
-    Returns:
-        Integer matrix ``(n_data, len(inputs_per_gate))`` suitable for
-        :class:`GatedLogicCorelet` with ``threshold`` equal to the gate
-        arity (uniform arities assumed by the shared threshold).
-    """
-    weights = np.zeros((n_data, len(inputs_per_gate)), dtype=np.int64)
-    for gate, lines in enumerate(inputs_per_gate):
-        for line in lines:
-            weights[line, gate] = 1
-    return weights
-
-
-__all__ = ["GatedLogicCorelet", "and_gate_weights"]
+__all__ = ["GatedLogicCorelet"]

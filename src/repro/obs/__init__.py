@@ -3,8 +3,9 @@
 One lightweight, thread-safe subsystem behind every number this repo
 reports (DESIGN.md §10, §16): counters/gauges/histograms in a
 :class:`MetricsRegistry`, nestable :func:`span` wall-clock tracing with
-a bounded ring-buffer :class:`TraceLog`, fork-safe trace/span ids
-(:mod:`repro.obs.ids`), cross-process trace assembly and Chrome
+lifecycle :func:`event` records in the same bounded ring-buffer
+:class:`TraceLog` (which doubles as the flight recorder), fork-safe
+trace/span ids (:mod:`repro.obs.ids`), cross-process trace assembly and Chrome
 trace-event export (:mod:`repro.obs.traces`), declarative latency and
 energy SLOs (:mod:`repro.obs.slo`), a JSON ``snapshot()`` and a
 Prometheus-style text exposition. The simulator, batch engine,
@@ -21,10 +22,9 @@ Quick start::
     print(get_registry().render_prometheus())
 """
 
-from repro.obs import flight, hwcounters, ids, slo, traces
-from repro.obs.flight import FlightEvent, FlightRecorder, flight_recorder, new_trace_id
+from repro.obs import hwcounters, ids, slo, traces
 from repro.obs.hwcounters import ActivityCollector, RunActivity, record_run
-from repro.obs.ids import configure_namespace, id_namespace, new_span_id
+from repro.obs.ids import configure_namespace, id_namespace, new_span_id, new_trace_id
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     DROPPED_SERIES_COUNTER,
@@ -47,6 +47,7 @@ from repro.obs.metrics import (
 from repro.obs.slo import SLObjective, SLOResult, default_objectives, evaluate_objectives
 from repro.obs.traces import RequestTrace, assemble_traces, to_chrome_trace
 from repro.obs.tracing import (
+    EVENT_KINDS,
     SPAN_BUCKETS,
     SpanHandle,
     SpanRecord,
@@ -55,6 +56,7 @@ from repro.obs.tracing import (
     current_span_id,
     current_trace_id,
     enabled,
+    event,
     observe_span,
     span,
     span_metric_name,
@@ -66,11 +68,10 @@ from repro.obs.tracing import (
 __all__ = [
     "DEFAULT_BUCKETS",
     "DROPPED_SERIES_COUNTER",
+    "EVENT_KINDS",
     "SPAN_BUCKETS",
     "ActivityCollector",
     "CounterMetric",
-    "FlightEvent",
-    "FlightRecorder",
     "GaugeMetric",
     "HistogramMetric",
     "MetricsRegistry",
@@ -91,8 +92,7 @@ __all__ = [
     "enabled",
     "escape_label_value",
     "evaluate_objectives",
-    "flight",
-    "flight_recorder",
+    "event",
     "get_registry",
     "hwcounters",
     "id_namespace",

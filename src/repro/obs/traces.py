@@ -1,18 +1,19 @@
 """Per-request trace assembly and Chrome trace-event export.
 
-Spans (:class:`~repro.obs.tracing.SpanRecord`) and flight events
-(:class:`~repro.obs.flight.FlightEvent`) are recorded flat, in arrival
-order, possibly in different processes — shard workers ship their span
-records back to the parent, which appends them to the process trace
-log. This module stitches those flat streams back into one
-:class:`RequestTrace` per ``trace_id``:
+Spans and lifecycle events are one flat stream of
+:class:`~repro.obs.tracing.SpanRecord`\\ s in the process trace log,
+possibly minted in different processes — shard workers ship their
+records back to the parent, which appends them to its own log. This
+module groups that stream into one :class:`RequestTrace` per
+``trace_id``:
 
 - a record whose own ``trace_id`` matches is claimed directly
   (per-request events: enqueue, cache hit, deadline expiry);
 - a record carrying a ``trace_ids`` attr list is claimed by *every*
   trace in the list (batch-scoped spans and events: ``batch_form``,
-  ``score``, ``serve.shard.execute``, the worker-side scoring span) —
-  micro-batching means one span legitimately belongs to many requests.
+  ``score``, ``serve.shard.execute``, the worker-side scoring span and
+  the events raised inside it) — micro-batching means one record
+  legitimately belongs to many requests.
 
 Inside a trace the spans form a tree over ``span_id``/``parent_id``
 (edges may cross process boundaries: the worker scoring span's parent
@@ -31,7 +32,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.flight import FlightEvent, flight_recorder
 from repro.obs.metrics import HistogramMetric, MetricsRegistry, get_registry
 from repro.obs.tracing import SpanRecord, trace_log
 
@@ -45,18 +45,27 @@ class RequestTrace:
 
     Attributes:
         trace_id: the request's id, minted at submission.
-        spans: spans claimed by this trace, in arrival order.
-        events: flight events claimed by this trace, in arrival order.
+        records: ``(seq, record)`` pairs claimed by this trace, spans
+            and events alike, in arrival order.
     """
 
     trace_id: str
-    spans: List[SpanRecord] = field(default_factory=list)
-    events: List[FlightEvent] = field(default_factory=list)
+    records: List[Tuple[int, SpanRecord]] = field(default_factory=list)
+
+    @property
+    def spans(self) -> List[SpanRecord]:
+        """The trace's timed spans, in arrival order."""
+        return [record for _, record in self.records if not record.instant]
+
+    @property
+    def events(self) -> List[SpanRecord]:
+        """The trace's lifecycle events, in arrival order."""
+        return [record for _, record in self.records if record.instant]
 
     @property
     def pids(self) -> Tuple[int, ...]:
-        """Distinct process ids the trace's spans ran in, sorted."""
-        return tuple(sorted({record.pid for record in self.spans}))
+        """Distinct process ids the trace's records ran in, sorted."""
+        return tuple(sorted({record.pid for _, record in self.records}))
 
     def children_of(self, span_id: str) -> List[SpanRecord]:
         """Spans naming ``span_id`` as their parent."""
@@ -68,10 +77,11 @@ class RequestTrace:
 
     def roots(self) -> List[SpanRecord]:
         """Spans whose parent is absent from this trace (tree roots)."""
-        known = {record.span_id for record in self.spans if record.span_id}
+        spans = self.spans
+        known = {record.span_id for record in spans if record.span_id}
         return [
             record
-            for record in self.spans
+            for record in spans
             if not record.parent_id or record.parent_id not in known
         ]
 
@@ -98,44 +108,33 @@ class RequestTrace:
         return [node(record) for record in self.roots()]
 
 
-def _claimants(trace_id: str, attrs: Dict) -> List[str]:
-    owners: List[str] = []
-    if trace_id:
-        owners.append(trace_id)
-    for claimed in attrs.get("trace_ids") or ():
-        if claimed and claimed not in owners:
-            owners.append(claimed)
-    return owners
-
-
 def assemble_traces(
-    spans: Optional[Sequence[SpanRecord]] = None,
-    events: Optional[Sequence[FlightEvent]] = None,
+    records: Optional[Sequence[Tuple[int, SpanRecord]]] = None,
 ) -> List[RequestTrace]:
-    """Group flat span/event streams into one trace per request.
+    """Group the flat span/event stream into one trace per request.
 
     Args:
-        spans: span records to stitch; defaults to the process trace
-            log's retained entries (worker-shipped spans included).
-        events: flight events to stitch; defaults to the process
-            flight recorder's retained events.
+        records: ``(seq, record)`` pairs to group; defaults to the
+            process trace log's retained records (worker-shipped
+            records included).
 
     Returns:
         Traces ordered by first appearance. Records carrying neither a
         ``trace_id`` nor a ``trace_ids`` attr belong to no request and
         are left out.
     """
-    if spans is None:
-        spans = trace_log().entries()
-    if events is None:
-        events = flight_recorder().events()
+    if records is None:
+        records = trace_log().records()
     traces: Dict[str, RequestTrace] = {}
-    for record in spans:
-        for owner in _claimants(record.trace_id, record.attrs):
-            traces.setdefault(owner, RequestTrace(owner)).spans.append(record)
-    for event in events:
-        for owner in _claimants(event.trace_id, event.attrs):
-            traces.setdefault(owner, RequestTrace(owner)).events.append(event)
+    for seq, record in records:
+        owners = [record.trace_id] if record.trace_id else []
+        for claimed in record.attrs.get("trace_ids") or ():
+            if claimed and claimed not in owners:
+                owners.append(claimed)
+        for owner in owners:
+            traces.setdefault(owner, RequestTrace(owner)).records.append(
+                (seq, record)
+            )
     return list(traces.values())
 
 
@@ -143,94 +142,69 @@ def to_chrome_trace(traces: Iterable[RequestTrace]) -> Dict:
     """``traces`` as a Chrome trace-event JSON document.
 
     Spans become complete (``ph: "X"``) events with microsecond
-    ``ts``/``dur``; flight events become instant (``ph: "i"``) events;
-    process/thread metadata events name each pid and map thread names
-    onto stable integer tids. Batch-scoped spans shared by several
-    traces are emitted once. Load the result in ``chrome://tracing``
-    or https://ui.perfetto.dev.
+    ``ts``/``dur``; lifecycle events become instant (``ph: "i"``)
+    events on the pid that recorded them; process/thread metadata
+    events name each pid and map thread names onto stable integer tids.
+    A record shared by several traces (a batch span or event) is
+    emitted once, by its ``seq``. Load the result in
+    ``chrome://tracing`` or https://ui.perfetto.dev.
     """
     out: List[Dict] = []
     tids: Dict[Tuple[int, str], int] = {}
-    named_pids: Dict[int, str] = {}
-
-    def tid_for(pid: int, thread: str) -> int:
-        key = (pid, thread)
-        if key not in tids:
-            tids[key] = len(tids) + 1
-            out.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tids[key],
-                    "args": {"name": thread},
-                }
-            )
-        return tids[key]
-
-    def name_pid(pid: int, parent_pid: int) -> None:
-        if pid in named_pids:
-            return
-        role = "serve parent" if pid == parent_pid else "shard worker"
-        named_pids[pid] = role
-        out.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"{role} (pid {pid})"},
-            }
-        )
-
+    named_pids = set()
     parent_pid = os.getpid()
-    seen_spans = set()
-    seen_events = set()
+    seen = set()
     for trace in traces:
-        for record in trace.spans:
-            key = record.span_id or id(record)
-            if key in seen_spans:
+        for seq, record in trace.records:
+            if seq in seen:
                 continue
-            seen_spans.add(key)
+            seen.add(seq)
             pid = record.pid or parent_pid
-            name_pid(pid, parent_pid)
-            args = {
-                "trace_id": record.trace_id,
-                "span_id": record.span_id,
-                "parent_id": record.parent_id,
-                "path": record.path,
-                "depth": record.depth,
+            if pid not in named_pids:
+                named_pids.add(pid)
+                role = "serve parent" if pid == parent_pid else "shard worker"
+                out.append(
+                    {
+                        "ph": "M",
+                        "name": "process_name",
+                        "pid": pid,
+                        "tid": 0,
+                        "args": {"name": f"{role} (pid {pid})"},
+                    }
+                )
+            key = (pid, record.thread)
+            if key not in tids:
+                tids[key] = len(tids) + 1
+                out.append(
+                    {
+                        "ph": "M",
+                        "name": "thread_name",
+                        "pid": pid,
+                        "tid": tids[key],
+                        "args": {"name": record.thread},
+                    }
+                )
+            entry = {
+                "ph": "i" if record.instant else "X",
+                "name": record.name,
+                "cat": record.path.split("/", 1)[0],
+                "pid": pid,
+                "tid": tids[key],
+                "ts": record.start_ts * 1e6,
+                "args": {
+                    "trace_id": record.trace_id,
+                    "span_id": record.span_id,
+                    "parent_id": record.parent_id,
+                    "path": record.path,
+                    "depth": record.depth,
+                    **record.attrs,
+                },
             }
-            args.update(record.attrs)
-            out.append(
-                {
-                    "ph": "X",
-                    "name": record.name,
-                    "cat": record.path.split("/", 1)[0],
-                    "pid": pid,
-                    "tid": tid_for(pid, record.thread),
-                    "ts": record.start_ts * 1e6,
-                    "dur": record.duration_s * 1e6,
-                    "args": args,
-                }
-            )
-        for event in trace.events:
-            if event.seq in seen_events:
-                continue
-            seen_events.add(event.seq)
-            name_pid(parent_pid, parent_pid)
-            out.append(
-                {
-                    "ph": "i",
-                    "s": "t",
-                    "name": event.kind,
-                    "cat": "flight",
-                    "pid": parent_pid,
-                    "tid": tid_for(parent_pid, event.thread),
-                    "ts": event.ts * 1e6,
-                    "args": {"trace_id": event.trace_id, **event.attrs},
-                }
-            )
+            if record.instant:
+                entry["s"] = "t"
+            else:
+                entry["dur"] = record.duration_s * 1e6
+            out.append(entry)
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
@@ -275,7 +249,7 @@ def export_chrome_trace(
     Args:
         path: destination file (overwritten).
         traces: traces to export; ``None`` assembles from the process
-            trace log and flight recorder.
+            trace log.
 
     Returns:
         The number of trace events written.

@@ -1,12 +1,13 @@
-"""Nestable wall-clock span tracing with a bounded ring-buffer log.
+"""Nestable span tracing and lifecycle events in one bounded log.
 
 A span brackets one phase of work — a simulator run, one pyramid
 level, one served batch::
 
-    from repro.obs import span
+    from repro.obs import event, span
 
     with span("pyramid.level", level=3):
         ...
+        event("retry", attempt=2)
 
 Spans nest per thread: the record carries the slash-joined path of
 enclosing span names (``detect.scan/pyramid.level``) and its depth, so
@@ -18,23 +19,34 @@ places:
   unless one is passed), which is what ``snapshot()`` and the
   Prometheus exposition report as "per-span timings";
 - the process-wide :class:`TraceLog` ring buffer of the most recent
-  :class:`SpanRecord` entries, for ``python -m repro trace <cmd>``.
+  :class:`SpanRecord` entries.
+
+An :func:`event` narrates a lifecycle moment — enqueue, cache hit,
+batch formation, retry, breaker transition, failure (see
+:data:`EVENT_KINDS`). It is a zero-duration record in the same ring
+with no histogram, whose ``parent_id`` is the enclosing span, so spans
+and events share one sequence, one drop counter and one timeline. The
+ring doubles as the flight recorder: :meth:`TraceLog.dump` writes it
+as one JSON document (``python -m repro serve --flight-dump PATH``, and
+automatically on request failure or breaker-open; DESIGN.md §12).
 
 Spans also participate in distributed tracing: each span is minted a
 ``span_id`` (fork-safe, see :mod:`repro.obs.ids`) and records the
 ``span_id`` of its enclosing span as ``parent_id``, and a
-:func:`trace_context` block stamps every span inside it with the
+:func:`trace_context` block stamps every record inside it with the
 request's ``trace_id``. Ids cross the shard-worker process boundary
 explicitly (the parent ships its ids in the work message, the worker
-passes them to :func:`span` / :func:`observe_span`), which is how
-:mod:`repro.obs.traces` reassembles one tree per request from records
-minted in different processes.
+passes them to :func:`span`), and workers ship their records back,
+which is how :mod:`repro.obs.traces` reassembles one tree per request
+from records minted in different processes.
 
-Tracing can be globally disabled with :func:`configure`; a disabled
-``span`` costs one attribute read and no timestamps.
+Recording can be globally disabled with :func:`configure`; a disabled
+``span`` or ``event`` costs one attribute read and no timestamps.
 """
 
+import collections
 import functools
+import json
 import os
 import threading
 import time
@@ -55,13 +67,39 @@ SPAN_BUCKETS: Tuple[float, ...] = (
 )
 """Duration bucket bounds (seconds) for span histograms."""
 
+LOG_CAPACITY = 16384
+"""Records the process log retains (spans and events together)."""
+
+SPAN_KIND = "span"
+"""The ``kind`` of a timed span record; any other kind is an event."""
+
+# Canonical event kinds emitted by the serving layer. :func:`event`
+# accepts any string, so subsystems may add their own; these are the
+# ones DESIGN.md §12 documents and tests rely on.
+EVENT_KINDS: Tuple[str, ...] = (
+    "enqueue",
+    "cache_hit",
+    "cache_miss",
+    "queue_full",
+    "expired_queued",
+    "batch_form",
+    "score",
+    "retry",
+    "breaker_transition",
+    "deadline_expired",
+    "request_failed",
+    "degraded",
+    "dump",
+)
+
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One completed span.
+    """One completed span, or one lifecycle event.
 
     Attributes:
-        name: the span's own name (``"pyramid.level"``).
+        name: the span's own name (``"pyramid.level"``); an event's
+            kind.
         path: slash-joined names of the enclosing spans plus this one.
         duration_s: wall-clock duration in seconds.
         depth: number of enclosing spans on this thread (0 = root).
@@ -76,6 +114,8 @@ class SpanRecord:
             was timed externally via :func:`observe_span`.
         pid: id of the process that ran the span (how assembled traces
             distinguish parent-side from shard-side work).
+        kind: :data:`SPAN_KIND` for a timed span, else the event kind
+            of a zero-duration lifecycle event (:func:`event`).
     """
 
     name: str
@@ -89,6 +129,12 @@ class SpanRecord:
     parent_id: str = ""
     start_ts: float = 0.0
     pid: int = 0
+    kind: str = SPAN_KIND
+
+    @property
+    def instant(self) -> bool:
+        """Whether this is a lifecycle event rather than a timed span."""
+        return self.kind != SPAN_KIND
 
 
 class SpanHandle:
@@ -97,56 +143,65 @@ class SpanHandle:
     Exposes the minted ``span_id`` (and the effective ``trace_id``) so
     the body can hand them to child work in another thread or process —
     the sharded serve tier ships ``handle.span_id`` to workers so
-    worker-side spans can name it as their ``parent_id``.
+    worker-side spans can name it as their ``parent_id``. ``trace_ids``
+    is the span's batch attr, which events inside it inherit.
     """
 
-    __slots__ = ("name", "span_id", "trace_id", "parent_id")
+    __slots__ = ("name", "span_id", "trace_id", "parent_id", "trace_ids")
 
-    def __init__(self, name: str, span_id: str, trace_id: str, parent_id: str) -> None:
+    def __init__(
+        self,
+        name: str,
+        span_id: str,
+        trace_id: str,
+        parent_id: str,
+        trace_ids: Optional[List[str]] = None,
+    ) -> None:
         self.name = name
         self.span_id = span_id
         self.trace_id = trace_id
         self.parent_id = parent_id
+        self.trace_ids = trace_ids
 
 
 class TraceLog:
     """Bounded, thread-safe ring buffer of recent :class:`SpanRecord`\\ s.
 
-    Every appended record is stamped with a monotonically increasing
-    sequence number (0, 1, 2, ... in arrival order, assigned under the
-    lock), so a reader can tell exactly what fell off the far end: the
-    retained records always carry the contiguous range
-    ``[dropped, total)`` — ``dropped`` is the watermark below which
-    records were evicted, and is exact by construction.
+    Spans and events share the ring. Every appended record is stamped
+    with a monotonically increasing sequence number (0, 1, 2, ... in
+    arrival order, assigned under the lock), so a reader can tell
+    exactly what fell off the far end: the retained records always
+    carry the contiguous range ``[dropped, total)`` — ``dropped`` is
+    the watermark below which records were evicted, and is exact by
+    construction.
 
     Args:
-        maxlen: entries kept; older spans fall off the far end, so a
+        maxlen: entries kept; older records fall off the far end, so a
             long-running service holds a constant-size trace tail.
     """
 
-    def __init__(self, maxlen: int = 1024) -> None:
+    def __init__(self, maxlen: int = LOG_CAPACITY) -> None:
         if maxlen < 1:
             raise ValueError(f"maxlen must be >= 1, got {maxlen}")
         self.maxlen = maxlen
         self._lock = threading.Lock()
-        self._entries: List[Tuple[int, SpanRecord]] = []
+        self._entries: "collections.deque[Tuple[int, SpanRecord]]" = (
+            collections.deque(maxlen=maxlen)
+        )
         self._next_seq = 0
-        self._dropped = 0
 
     def append(self, record: SpanRecord) -> int:
-        """Add a finished span, evicting the oldest past ``maxlen``.
+        """Add a finished span or an event, evicting the oldest past
+        ``maxlen``.
 
         Returns:
             the sequence number assigned to ``record``.
         """
         with self._lock:
             seq = self._next_seq
-            self._next_seq += 1
+            self._next_seq = seq + 1
             self._entries.append((seq, record))
-            if len(self._entries) > self.maxlen:
-                del self._entries[0]
-                self._dropped += 1
-            return seq
+        return seq
 
     def entries(self) -> List[SpanRecord]:
         """The retained records, oldest first (a copy)."""
@@ -160,54 +215,82 @@ class TraceLog:
 
     @property
     def total(self) -> int:
-        """Spans ever appended (== the next sequence number)."""
+        """Records ever appended (== the next sequence number)."""
         with self._lock:
             return self._next_seq
 
     @property
     def dropped(self) -> int:
-        """Spans evicted from the far end of the ring so far.
+        """Records evicted from the far end of the ring so far.
 
         Equals the lowest retained sequence number (the drop
         watermark) whenever any records are retained.
         """
         with self._lock:
-            return self._dropped
+            return self._next_seq - len(self._entries)
 
     def clear(self) -> None:
-        """Drop every buffered span and reset counters and sequencing."""
+        """Drop every buffered record and reset counters and sequencing."""
         with self._lock:
             self._entries.clear()
             self._next_seq = 0
-            self._dropped = 0
+
+    def dump(self, path: str, reason: str = "on_demand") -> int:
+        """Write the ring to ``path`` as one JSON document.
+
+        The document carries ``reason``, ``dropped``, ``total``,
+        ``retained`` and the retained records as ``events`` (each
+        record's fields plus its ``seq``). The dump itself is recorded
+        as a ``dump`` event *after* the snapshot is taken, so a dump
+        never contains itself.
+
+        Args:
+            path: destination file (overwritten).
+            reason: why the dump happened (``"on_demand"``,
+                ``"request_failed"``, ``"breaker_open"``, ...).
+
+        Returns:
+            The number of records written.
+        """
+        with self._lock:
+            records = list(self._entries)
+            total = self._next_seq
+        document = {
+            "reason": reason,
+            "dropped": total - len(records),
+            "total": total,
+            "retained": len(records),
+            "events": [{"seq": seq, **vars(record)} for seq, record in records],
+        }
+        with open(path, "w", encoding="utf-8") as handle:
+            # Attrs are free-form: a dump taken on a failure path must
+            # not raise on a value JSON cannot encode.
+            json.dump(document, handle, indent=2, default=repr)
+            handle.write("\n")
+        if _enabled:
+            self.append(_event_record("dump", "", {"reason": reason, "path": str(path)}))
+        return len(records)
 
 
-_trace_log = TraceLog(1024)
+_trace_log = TraceLog()
 _local = threading.local()
 _enabled = True
 
 
 def trace_log() -> TraceLog:
-    """The process-wide span ring buffer."""
+    """The process-wide ring buffer of spans and events."""
     return _trace_log
 
 
 def configure(enabled: bool) -> None:
-    """Globally enable or disable span recording."""
+    """Globally enable or disable span and event recording."""
     global _enabled
     _enabled = bool(enabled)
 
 
 def enabled() -> bool:
-    """Whether span recording is currently on."""
+    """Whether span and event recording is currently on."""
     return _enabled
-
-
-def _id_stack() -> List[str]:
-    ids: Optional[List[str]] = getattr(_local, "ids", None)
-    if ids is None:
-        ids = _local.ids = []
-    return ids
 
 
 def current_trace_id() -> str:
@@ -217,17 +300,17 @@ def current_trace_id() -> str:
 
 def current_span_id() -> str:
     """The innermost active span's id on this thread ("" outside spans)."""
-    ids = getattr(_local, "ids", None)
-    return ids[-1] if ids else ""
+    handles = getattr(_local, "handles", None)
+    return handles[-1].span_id if handles else ""
 
 
 @contextmanager
 def trace_context(trace_id: str) -> Iterator[str]:
-    """Stamp every span opened in this block with ``trace_id``.
+    """Stamp every span and event recorded in this block with ``trace_id``.
 
-    Nestable; the previous trace id is restored on exit. Used by the
-    serve dispatch loop (per-batch, with the batch's request trace ids
-    as span attrs) and the video pipeline (per-frame).
+    Nestable; the previous trace id is restored on exit. The video
+    pipeline scopes each frame this way; batch-scoped serve spans list
+    their requests in a ``trace_ids`` attr instead.
     """
     previous = getattr(_local, "trace_id", "")
     _local.trace_id = trace_id
@@ -246,7 +329,7 @@ def reset_thread_state() -> None:
     parent happened to be doing at fork time.
     """
     _local.stack = []
-    _local.ids = []
+    _local.handles = []
     _local.trace_id = ""
 
 
@@ -321,16 +404,20 @@ def span(
     stack: Optional[List[str]] = getattr(_local, "stack", None)
     if stack is None:
         stack = _local.stack = []
-    ids = _id_stack()
+        _local.handles = []
+    handles: List[SpanHandle] = _local.handles
     span_id = new_span_id()
     effective_parent = parent_id if parent_id is not None else (
-        ids[-1] if ids else ""
+        handles[-1].span_id if handles else ""
+    )
+    handle = SpanHandle(
+        name, span_id, current_trace_id(), effective_parent,
+        attrs.get("trace_ids"),
     )
     stack.append(name)
-    ids.append(span_id)
+    handles.append(handle)
     path = "/".join(stack)
     depth = len(stack) - 1
-    handle = SpanHandle(name, span_id, current_trace_id(), effective_parent)
     start_ts = time.time()
     started = time.perf_counter()
     try:
@@ -338,7 +425,7 @@ def span(
     finally:
         duration = time.perf_counter() - started
         stack.pop()
-        ids.pop()
+        handles.pop()
         observe_span(
             name,
             duration,
@@ -351,6 +438,61 @@ def span(
             start_ts=start_ts,
             **attrs,
         )
+
+
+def _event_record(kind: str, trace_id: str, attrs: Dict) -> SpanRecord:
+    """A zero-duration record of ``kind`` nested in this thread's spans.
+
+    Without an explicit ``trace_id`` or ``trace_ids`` attr the event
+    takes the thread's trace context and the ``trace_ids`` of the
+    innermost enclosing span that carries them, so an event raised
+    inside a batch (a retry, a worker-side model event) belongs to the
+    batch's requests.
+    """
+    stack = getattr(_local, "stack", None) or []
+    handles = getattr(_local, "handles", None) or []
+    if not trace_id and "trace_ids" not in attrs:
+        claims = next(
+            (handle.trace_ids for handle in reversed(handles) if handle.trace_ids),
+            None,
+        )
+        if claims:
+            attrs["trace_ids"] = claims
+    return SpanRecord(
+        name=kind,
+        path="/".join(stack + [kind]),
+        duration_s=0.0,
+        depth=len(stack),
+        thread=threading.current_thread().name,
+        attrs=attrs,
+        trace_id=trace_id or current_trace_id(),
+        parent_id=handles[-1].span_id if handles else "",
+        start_ts=time.time(),
+        pid=os.getpid(),
+        kind=kind,
+    )
+
+
+def event(kind: str, trace_id: str = "", **attrs) -> Optional[SpanRecord]:
+    """Record one lifecycle event in the process log.
+
+    Appends a zero-duration record (no histogram) whose ``parent_id``
+    is the enclosing span's id, so the event nests in the span tree.
+
+    Args:
+        kind: event kind (see :data:`EVENT_KINDS`).
+        trace_id: the owning request's trace id; events that concern
+            several requests pass a ``trace_ids`` list attr instead.
+        **attrs: free-form JSON-serialisable payload.
+
+    Returns:
+        The appended record, or ``None`` while recording is disabled.
+    """
+    if not _enabled:
+        return None
+    record = _event_record(kind, trace_id, attrs)
+    _trace_log.append(record)
+    return record
 
 
 def summarize_spans(registry: Optional[MetricsRegistry] = None) -> Dict[str, Dict]:
@@ -372,7 +514,10 @@ def summarize_spans(registry: Optional[MetricsRegistry] = None) -> Dict[str, Dic
 
 
 __all__ = [
+    "EVENT_KINDS",
+    "LOG_CAPACITY",
     "SPAN_BUCKETS",
+    "SPAN_KIND",
     "SpanHandle",
     "SpanRecord",
     "TraceLog",
@@ -380,6 +525,7 @@ __all__ = [
     "current_span_id",
     "current_trace_id",
     "enabled",
+    "event",
     "observe_span",
     "reset_thread_state",
     "span",

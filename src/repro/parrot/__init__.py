@@ -19,7 +19,7 @@ equivalent feature vector (paper, Section 3.2).
 """
 
 from repro.parrot.datagen import ParrotDataset, generate_parrot_samples
-from repro.parrot.trainer import ParrotTrainer, train_parrot
+from repro.parrot.trainer import train_parrot
 from repro.parrot.extractor import ParrotExtractor, ParrotFeatureConfig
 from repro.parrot.fidelity import FidelityReport, parrot_fidelity
 from repro.parrot.compression import (
@@ -34,7 +34,6 @@ __all__ = [
     "ParrotDataset",
     "ParrotExtractor",
     "ParrotFeatureConfig",
-    "ParrotTrainer",
     "compress_to_cores",
     "generate_parrot_samples",
     "parrot_fidelity",

@@ -7,7 +7,6 @@ sigmoid squash of the logits in analog training, spike rates at
 deployment) should match the reference histogram scaled to [0, 1].
 """
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -56,42 +55,6 @@ def rate_matching_loss(
     loss = float(per_example.mean())
     grad = (rates - t) / scale / z.shape[0]
     return loss, grad
-
-
-@dataclass
-class ParrotTrainer:
-    """Configuration and factory for parrot training runs.
-
-    Attributes:
-        hidden: hidden-layer width; 512 reproduces the paper's 8-cores-
-            per-cell resource footprint under the standard mapping.
-        n_samples: synthetic training samples to generate.
-        epochs: training epochs.
-        learning_rate: SGD step size.
-        rng: master randomness (data, init, shuffling).
-    """
-
-    hidden: int = 512
-    n_samples: int = 16000
-    epochs: int = 50
-    learning_rate: float = 0.05
-    rng: RngLike = 0
-
-    def run(self) -> Tuple[EednNetwork, ParrotDataset, dict]:
-        """Generate data, build and train the network.
-
-        Returns:
-            ``(network, dataset, diagnostics)``; diagnostics include the
-            final regression loss and the hard angle-classification
-            accuracy (a sanity proxy, not the objective).
-        """
-        return train_parrot(
-            hidden=self.hidden,
-            n_samples=self.n_samples,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            rng=self.rng,
-        )
 
 
 def train_parrot(
@@ -169,7 +132,6 @@ def train_parrot(
 
 
 __all__ = [
-    "ParrotTrainer",
     "SIGMOID_SCALE",
     "rate_matching_loss",
     "sigmoid_rates",

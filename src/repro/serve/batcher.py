@@ -67,7 +67,7 @@ class ServeRequest:
         deadline: absolute :func:`time.monotonic` deadline, or ``None``.
         cache_key: content key when caching is enabled, else ``None``.
         enqueued_at: submission timestamp (for latency accounting).
-        trace_id: flight-recorder trace id assigned at submission.
+        trace_id: request trace id assigned at submission.
         call: the ``score_many`` call this request belongs to, or
             ``None`` for a bare ``submit``.
     """

@@ -29,8 +29,7 @@ from repro.errors import (
     ConfigurationError,
     TransientScorerError,
 )
-from repro.obs import MetricsRegistry
-from repro.obs.flight import flight_recorder
+from repro.obs import MetricsRegistry, event
 
 #: Breaker states, in escalation order.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
@@ -111,7 +110,7 @@ class CircuitBreaker:
     the record methods without a token applies the outcome
     unconditionally (the pre-token behaviour).
 
-    State-change callbacks and flight-recorder events fire *outside*
+    State-change callbacks and lifecycle events fire *outside*
     the internal lock, so a callback may safely read ``state`` or call
     back into the breaker without deadlocking.
 
@@ -189,7 +188,7 @@ class CircuitBreaker:
     def _fire(self, events: list) -> None:
         """Deliver deferred transition notifications (lock released)."""
         for previous, state, failures in events:
-            flight_recorder().record(
+            event(
                 "breaker_transition",
                 from_state=previous,
                 to_state=state,
@@ -260,7 +259,7 @@ class CircuitBreaker:
                 self._probing = False
                 self._transition(CLOSED, events)
         if stale:
-            flight_recorder().record("breaker_stale_outcome", outcome="success")
+            event("breaker_stale_outcome", outcome="success")
         self._fire(events)
 
     def record_failure(self, token: Optional[int] = None) -> None:
@@ -287,7 +286,7 @@ class CircuitBreaker:
                     self._opened_at = self._clock()
                     self._transition(OPEN, events)
         if stale:
-            flight_recorder().record("breaker_stale_outcome", outcome="failure")
+            event("breaker_stale_outcome", outcome="failure")
         self._fire(events)
 
 
@@ -323,7 +322,7 @@ class ResilientExecutor:
                 "serve_retries_total",
                 help="scorer calls retried after a transient fault",
             ).inc()
-        flight_recorder().record(
+        event(
             "retry", attempt=attempt, error=f"{type(exc).__name__}: {exc}"
         )
 

@@ -52,9 +52,8 @@ from repro.errors import (
     ServiceClosedError,
     TransientScorerError,
 )
-from repro.obs import MetricsRegistry, observe_span, span
+from repro.obs import MetricsRegistry, event, observe_span, span, trace_log
 from repro.obs import hwcounters
-from repro.obs.flight import flight_recorder
 from repro.obs.ids import new_trace_ids
 from repro.serve.batcher import BatchPolicy, MicroBatcher, ScoreCall, ServeRequest
 from repro.serve.cache import MISS, LruResultCache, content_keys
@@ -85,7 +84,7 @@ class _Lane:
     """One bounded request queue, its batcher and its dispatch thread.
 
     ``execute(matrix, trace_ids)`` scores one collected batch. ``shard``
-    names the lane in its spans, flight events and hop counters; it is
+    names the lane in its spans, events and hop counters; it is
     ``None`` for the single lane of in-process serving.
     """
 
@@ -150,10 +149,10 @@ class InferenceService:
             fallback value instead of an exception — counted in
             ``serve_degraded_total`` and **never** written to the
             result cache. Other exception types still fail the batch.
-        flight_dump_path: when set, the process flight recorder is
-            dumped to this path automatically whenever a batch fails or
-            the circuit breaker opens (and on demand via the
-            ``serve --flight-dump`` CLI flag).
+        flight_dump_path: when set, the process trace log (spans and
+            lifecycle events) is dumped to this path automatically
+            whenever a batch fails or the circuit breaker opens (and on
+            demand via the ``serve --flight-dump`` CLI flag).
     """
 
     #: The worker processes behind the lanes, or ``None`` to score in
@@ -397,7 +396,7 @@ class InferenceService:
         and enqueue all of the chunk's misses — or raise
         :class:`QueueFullError` having enqueued none of them. One
         ``serve.submit`` span and one ``cache_hit`` / ``cache_miss``
-        flight event cover the chunk, plus one ``enqueue`` event per
+        event cover the chunk, plus one ``enqueue`` event per
         target lane; each carries the ``trace_ids`` of the rows it
         concerns, so :func:`repro.obs.traces.assemble_traces` still
         yields one trace per row. The queued misses are counted on
@@ -431,7 +430,6 @@ class InferenceService:
             )
             for row, trace_id in zip(matrix, new_trace_ids(n))
         ]
-        recorder = flight_recorder()
         with span(
             "serve.submit",
             registry=stats.registry,
@@ -452,7 +450,7 @@ class InferenceService:
                     stats.count("cache_hits", len(hits))
                     stats.count("completed", len(hits))
                     stats.record_latencies([self._clock() - now] * len(hits))
-                    recorder.record(
+                    event(
                         "cache_hit",
                         trace_ids=[request.trace_id for request, _ in hits],
                     )
@@ -460,7 +458,7 @@ class InferenceService:
                         request.future.set_result(value)
                 if misses:
                     stats.count("cache_misses", len(misses))
-                    recorder.record(
+                    event(
                         "cache_miss",
                         trace_ids=[request.trace_id for request in misses],
                     )
@@ -493,13 +491,12 @@ class InferenceService:
         admission lock can only grow before the puts below it.
         """
         parts = self._route(misses)
-        recorder = flight_recorder()
         with self._admit_lock:
             for lane, part in parts:
                 target = lane.requests
                 if target.qsize() + len(part) > target.maxsize:
                     self.stats.count("rejected_queue_full", len(misses))
-                    recorder.record(
+                    event(
                         "queue_full",
                         trace_ids=[request.trace_id for request in misses],
                         capacity=target.maxsize,
@@ -514,7 +511,7 @@ class InferenceService:
                 for request in part:
                     lane.requests.put_nowait(request)
         for lane, part in parts:
-            recorder.record(
+            event(
                 "enqueue",
                 trace_ids=[request.trace_id for request in part],
                 deadline_in_s=timeout_s,
@@ -525,7 +522,7 @@ class InferenceService:
     def _expire(self, request: ServeRequest) -> None:
         """Fail a request whose deadline lapsed while it queued."""
         self.stats.count("expired_before_batch")
-        flight_recorder().record(
+        event(
             "deadline_expired", trace_id=request.trace_id, phase="queued"
         )
         request.future.set_exception(
@@ -536,11 +533,11 @@ class InferenceService:
     # Dispatch side (one thread per lane)
     # ------------------------------------------------------------------
     def _auto_flight_dump(self, reason: str) -> None:
-        """Dump the flight recorder when an incident trigger fires."""
+        """Dump the trace log when an incident trigger fires."""
         if self.flight_dump_path is None:
             return
         try:
-            flight_recorder().dump(self.flight_dump_path, reason=reason)
+            trace_log().dump(self.flight_dump_path, reason=reason)
         except OSError:
             self.stats.count("flight_dump_errors")
 
@@ -565,10 +562,9 @@ class InferenceService:
     def _fail_batch(self, batch: List[ServeRequest], exc: BaseException) -> None:
         """Fail every request, narrate it, and trigger the auto-dump."""
         self.stats.count("failed", len(batch))
-        recorder = flight_recorder()
         error = f"{type(exc).__name__}: {exc}"
         for request in batch:
-            recorder.record(
+            event(
                 "request_failed", trace_id=request.trace_id, error=error
             )
             request.future.set_exception(exc)
@@ -578,9 +574,8 @@ class InferenceService:
         stats = self.stats
         stats.record_batch(len(batch))
         stats.count("windows_scored", len(batch))
-        recorder = flight_recorder()
         trace_ids = [request.trace_id for request in batch]
-        recorder.record(
+        event(
             "batch_form", size=len(batch), trace_ids=trace_ids, **lane.labels
         )
         matrix = np.stack([request.features for request in batch])
@@ -601,7 +596,7 @@ class InferenceService:
                 return
             # Retries exhausted or breaker open: degrade.
             stats.count("degraded", len(batch))
-            recorder.record(
+            event(
                 "degraded",
                 size=len(batch),
                 trace_ids=trace_ids,
@@ -614,7 +609,7 @@ class InferenceService:
                 # model's answer for this window.
                 if request.expired(now):
                     stats.count("expired_after_batch")
-                    recorder.record(
+                    event(
                         "deadline_expired", trace_id=request.trace_id, phase="scored"
                     )
                     request.future.set_exception(
@@ -637,7 +632,7 @@ class InferenceService:
         hw_totals = activity.totals() if activity.runs else None
         if hw_totals is not None:
             stats.record_hw_totals(hw_totals, shard=lane.shard)
-        recorder.record(
+        event(
             "score",
             size=len(batch),
             trace_ids=trace_ids,
@@ -685,7 +680,7 @@ class InferenceService:
         for request, value in zip(batch, values):
             if request.expired(now):
                 stats.count("expired_after_batch")
-                flight_recorder().record(
+                event(
                     "deadline_expired", trace_id=request.trace_id, phase="scored"
                 )
                 request.future.set_exception(

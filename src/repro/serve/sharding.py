@@ -65,8 +65,7 @@ from repro.errors import (
     TransientScorerError,
     WorkerDiedError,
 )
-from repro.obs import MetricsRegistry, hwcounters, tracing
-from repro.obs.flight import flight_recorder
+from repro.obs import MetricsRegistry, event, hwcounters, tracing
 from repro.serve.batcher import ServeRequest
 from repro.serve.cache import content_key, content_keys
 from repro.serve.resilience import (
@@ -127,35 +126,37 @@ def _worker_main(shard_index, model, in_queue, out_queue):
 
     Protocol: dispatch messages are ``(batch_id, matrix, telemetry,
     trace_ids, parent_span_id, tracing_on)``; ``None`` means shut down.
-    Replies are ``("ok", batch_id, results, runs, spans, metrics_delta)``
-    with the raw activity ledgers, the span records completed since the
-    previous reply, and the worker registry's state delta (the same
+    Replies are ``("ok", batch_id, results, runs, records, metrics_delta)``
+    with the raw activity ledgers, the trace-log records (spans and
+    events) appended since the previous reply, and the worker
+    registry's state delta (the same
     ship-raw-merge-in-parent pattern the hw ledgers use), or
     ``("err", batch_id, type_name, message)`` — exceptions are
     flattened to strings so they pickle regardless of type.
 
-    The worker's spans run under the parent's trace context: the
+    The worker's records run under the parent's trace context: the
     scoring span names the parent dispatch span as its ``parent_id``
-    and carries the batch's request trace ids, which is how
+    and carries the batch's request trace ids (which events raised
+    inside it inherit), which is how
     :func:`repro.obs.traces.assemble_traces` stitches one tree per
     request across the process boundary.
     """
     # The fork inherits the parent's metrics registry mid-use (and its
     # lock state, if another parent thread held it at fork time); swap
     # in a fresh private registry before touching any instrument. The
-    # fork also inherits the forking thread's span stack and the
-    # parent's id pool: reset the one, namespace the other so ids
-    # minted here can never collide with parent-minted ids.
+    # fork also inherits the forking thread's span stack, the parent's
+    # trace log and its id pool: reset the first two, namespace the
+    # last so ids minted here can never collide with parent-minted ids.
     from repro.obs import metrics as obs_metrics
     from repro.obs.ids import configure_namespace
 
     configure_namespace(f"s{shard_index}")
     obs_metrics.set_registry(MetricsRegistry())
     tracing.reset_thread_state()
-    tracing.trace_log().clear()
+    log = tracing.trace_log()
+    log.clear()
     registry = obs_metrics.get_registry()
     shipped_state = registry.export_state()
-    shipped_seq = 0
     batch_fn = _resolve_batch_fn(model)
     while True:
         message = in_queue.get()
@@ -174,16 +175,15 @@ def _worker_main(shard_index, model, in_queue, out_queue):
             ):
                 with hwcounters.collect() as activity:
                     results = np.asarray(batch_fn(matrix))
-            spans: list = []
-            for seq, record in tracing.trace_log().records():
-                if seq >= shipped_seq:
-                    spans.append(record)
-                    shipped_seq = seq + 1
+            # This loop is the worker's only thread, so nothing records
+            # between the read and the clear: each record ships once.
+            records = log.entries()
+            log.clear()
             state = registry.export_state()
             delta = obs_metrics.diff_states(state, shipped_state)
             shipped_state = state
             out_queue.put(
-                ("ok", batch_id, results, list(activity.runs), spans, delta)
+                ("ok", batch_id, results, list(activity.runs), records, delta)
             )
         except Exception as exc:  # flatten: arbitrary types may not pickle
             out_queue.put(("err", batch_id, type(exc).__name__, str(exc)))
@@ -243,8 +243,8 @@ class ShardPool:
 
     Owns the forked workers, the :class:`HashRing` that routes each
     miss to its shard's lane, respawn and redispatch, one circuit
-    breaker per shard, and the folding of each worker reply's spans,
-    metrics and activity ledgers into the parent. Each lane's executor
+    breaker per shard, and the folding of each worker reply's trace
+    records, metrics and activity ledgers into the parent. Each lane's executor
     is a :class:`~repro.serve.resilience.ResilientExecutor` (the
     service's retry policy, the shard's breaker) around
     :meth:`_round_trip`.
@@ -375,7 +375,7 @@ class ShardPool:
         gauge.set(
             sum(STATE_CODES[shard.breaker._state] != 0 for shard in self.shards)
         )
-        flight_recorder().record(
+        event(
             "shard_breaker", shard=shard_index, state=state
         )
         if state == "open":
@@ -425,20 +425,20 @@ class ShardPool:
                 if reply[1] != batch_id:
                     # A reply from before a respawn cannot appear (fresh
                     # queues), but guard against protocol bugs anyway.
-                    flight_recorder().record(
+                    event(
                         "shard_stale_reply", shard=shard.index, got=reply[1]
                     )
                     continue
                 if reply[0] == "err":
                     _, _, type_name, message = reply
                     raise TransientScorerError(f"{type_name}: {message}")
-                _, _, results, runs, worker_spans, metrics_delta = reply
-                self._absorb_worker_telemetry(shard, worker_spans, metrics_delta)
+                _, _, results, runs, worker_records, metrics_delta = reply
+                self._absorb_worker_telemetry(shard, worker_records, metrics_delta)
                 for run in runs:
                     hwcounters.record_run(run)
                 return results
             stats.count("worker_deaths")
-            flight_recorder().record(
+            event(
                 "worker_death",
                 shard=shard.index,
                 exitcode=shard.process.exitcode,
@@ -452,20 +452,20 @@ class ShardPool:
         )
 
     def _absorb_worker_telemetry(
-        self, shard: _Shard, worker_spans, metrics_delta
+        self, shard: _Shard, worker_records, metrics_delta
     ) -> None:
-        """Fold a worker reply's spans and metrics delta into the parent.
+        """Fold a worker reply's records and metrics delta into the parent.
 
-        Shipped span records are appended to the parent trace log (so
-        assembled traces and ``python -m repro trace`` see the whole
-        fleet) and the worker registry's delta is merged into the
+        Shipped spans and events are appended to the parent trace log
+        (so assembled traces, flight dumps and ``python -m repro
+        trace`` see the whole fleet) and the worker registry's delta is merged into the
         parent registry with a ``shard`` label — closing the gap where
         ``_worker_main``'s fresh private registry made worker-side
         series invisible to ``serve --workers N --metrics``.
         """
-        if worker_spans:
+        if worker_records:
             log = tracing.trace_log()
-            for record in worker_spans:
+            for record in worker_records:
                 log.append(record)
         if metrics_delta and metrics_delta["series"]:
             self._service.stats.registry.merge_state(

@@ -120,34 +120,6 @@ def activity_energy_joules(spikes, synaptic_events, ticks: int, cores: int):
     )
 
 
-def estimate_energy_from_activity(activity) -> EnergyEstimate:
-    """Whole-run :class:`EnergyEstimate` from a hardware-counter ledger.
-
-    Unlike :func:`estimate_energy`, nothing is heuristic here: the
-    synaptic-event count is the measured one. Static energy is charged
-    per lane (each lane is an independent occupation of the cores), and
-    ``average_watts`` is the sustained draw over one lane's duration.
-
-    Args:
-        activity: a :class:`repro.obs.hwcounters.RunActivity`.
-    """
-    if activity.ticks <= 0:
-        raise ValueError("the run must cover at least one tick")
-    duration = activity.ticks * TICK_SECONDS
-    static = STATIC_CORE_WATTS * activity.n_cores * duration * activity.batch
-    dynamic = (
-        float(activity.spikes.sum()) * SPIKE_EVENT_JOULES
-        + float(activity.synaptic_events.sum()) * SYNAPTIC_EVENT_JOULES
-    )
-    total = static + dynamic
-    return EnergyEstimate(
-        static_joules=static,
-        dynamic_joules=dynamic,
-        total_joules=total,
-        average_watts=total / (duration * activity.batch),
-    )
-
-
 def nominal_energy(cores: int, ticks: int) -> float:
     """The constant-power (Table 2) energy for comparison: 16 uW x time."""
     if cores < 0 or ticks < 0:
@@ -162,6 +134,5 @@ __all__ = [
     "SYNAPTIC_EVENT_JOULES",
     "activity_energy_joules",
     "estimate_energy",
-    "estimate_energy_from_activity",
     "nominal_energy",
 ]

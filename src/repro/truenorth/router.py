@@ -90,23 +90,6 @@ class Router:
         """
         return self._routes[(src_core, src_neuron)]
 
-    def routes_from(self, src_core: int) -> Tuple[Route, ...]:
-        """All routes leaving ``src_core`` in registration order."""
-        return tuple(self._by_src_core.get(src_core, ()))
-
-    def crossing_routes(self, chip_of) -> Tuple[Route, ...]:
-        """Routes whose endpoints sit on different chips.
-
-        Args:
-            chip_of: callable mapping a core id to its chip index
-                (typically ``NeurosynapticSystem.chip_of``).
-        """
-        return tuple(
-            route
-            for route in self._routes.values()
-            if chip_of(route.src_core) != chip_of(route.dst_core)
-        )
-
     # ------------------------------------------------------------------
     # Simulation-time interface
     # ------------------------------------------------------------------

@@ -91,11 +91,10 @@ class TestCli:
 
 class TestTraceCommand:
     def test_trace_export_writes_valid_chrome_trace(self, capsys, tmp_path):
-        from repro.obs import flight_recorder, trace_log
+        from repro.obs import trace_log
         from repro.obs.traces import validate_chrome_trace
 
         trace_log().clear()
-        flight_recorder().clear()
         export = tmp_path / "trace.json"
         assert main([
             "trace", "--export", str(export),

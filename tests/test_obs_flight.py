@@ -1,11 +1,12 @@
-"""Flight recorder: ring semantics, dumps, and serve auto-dump triggers.
+"""Flight recording: the one trace-log ring, its dumps, and serve
+auto-dump triggers.
 
-The recorder's contract (DESIGN.md §12): monotonic sequence numbers
-assigned under the lock, a bounded ring retaining exactly the
-contiguous range ``[dropped, total)``, an exact drop counter, and
-single-document JSON dumps that never contain themselves. The service
-integration half: ``flight_dump_path`` makes the dump automatic on
-request failure and on breaker-open.
+Spans and lifecycle events share one ring (DESIGN.md §12): monotonic
+sequence numbers assigned under the lock, a bounded ring retaining
+exactly the contiguous range ``[dropped, total)``, an exact drop
+counter, and single-document JSON dumps that never contain themselves.
+The service integration half: ``flight_dump_path`` makes the dump
+automatic on request failure and on breaker-open.
 """
 
 import json
@@ -15,59 +16,85 @@ import numpy as np
 import pytest
 
 from repro.errors import TransientScorerError
-from repro.obs.flight import FlightRecorder, flight_recorder, new_trace_id
+from repro.obs import SpanRecord, TraceLog, event, new_trace_id, trace_log
 from repro.serve import CircuitBreaker, InferenceService
+
+
+def _record(kind, trace_id="", **attrs):
+    """An event record as :func:`repro.obs.event` would build it."""
+    return SpanRecord(
+        name=kind, path=kind, duration_s=0.0, depth=0,
+        thread=threading.current_thread().name, attrs=attrs,
+        trace_id=trace_id, kind=kind,
+    )
+
+
+def _span(name):
+    return SpanRecord(name=name, path=name, duration_s=0.0, depth=0, thread="t")
 
 
 class TestRingSemantics:
     def test_sequences_are_monotonic_and_contiguous(self):
-        recorder = FlightRecorder(maxlen=8)
+        log = TraceLog(maxlen=8)
         for i in range(5):
-            recorder.record("enqueue", index=i)
-        assert [e.seq for e in recorder.events()] == list(range(5))
-        assert recorder.total == 5
-        assert recorder.dropped == 0
+            assert log.append(_record("enqueue", index=i)) == i
+        assert [seq for seq, _ in log.records()] == list(range(5))
+        assert log.total == 5
+        assert log.dropped == 0
 
     def test_eviction_keeps_exact_window(self):
-        recorder = FlightRecorder(maxlen=4)
+        log = TraceLog(maxlen=4)
         for i in range(11):
-            recorder.record("score", index=i)
-        events = recorder.events()
-        assert recorder.total == 11
-        assert recorder.dropped == 7
-        # Retained events are exactly the contiguous [dropped, total).
-        assert [e.seq for e in events] == [7, 8, 9, 10]
+            log.append(_span(f"s{i}") if i % 2 else _record("score", index=i))
+        assert log.total == 11
+        assert log.dropped == 7
+        # Retained records are exactly the contiguous [dropped, total),
+        # spans and events in one sequence.
+        assert [seq for seq, _ in log.records()] == [7, 8, 9, 10]
+        assert [r.name for r in log.entries()] == ["s7", "score", "s9", "score"]
 
     def test_record_returns_the_event(self):
-        recorder = FlightRecorder(maxlen=2)
-        event = recorder.record("retry", trace_id="t1", attempt=2)
-        assert event.kind == "retry"
-        assert event.trace_id == "t1"
-        assert event.attrs == {"attempt": 2}
-        assert event.thread == threading.current_thread().name
+        trace_log().clear()
+        try:
+            record = event("retry", trace_id="t1", attempt=2)
+            assert record.kind == "retry" and record.instant
+            assert record.trace_id == "t1"
+            assert record.attrs == {"attempt": 2}
+            assert record.duration_s == 0.0
+            assert record.thread == threading.current_thread().name
+            assert trace_log().entries() == [record]
+        finally:
+            trace_log().clear()
 
     def test_clear_resets_counters(self):
-        recorder = FlightRecorder(maxlen=2)
+        log = TraceLog(maxlen=2)
         for _ in range(5):
-            recorder.record("score")
-        recorder.clear()
-        assert recorder.total == 0
-        assert recorder.dropped == 0
-        assert recorder.events() == []
-        assert recorder.record("score").seq == 0
+            log.append(_record("score"))
+        log.clear()
+        assert log.total == 0
+        assert log.dropped == 0
+        assert log.entries() == []
+        assert log.append(_record("score")) == 0
 
     def test_maxlen_validation(self):
         with pytest.raises(ValueError, match="maxlen"):
-            FlightRecorder(maxlen=0)
+            TraceLog(maxlen=0)
 
     def test_concurrent_appends_keep_the_contract(self):
-        recorder = FlightRecorder(maxlen=64)
+        """8 threads hammering append: no lost or duplicated seqs.
+
+        The lock assigns sequence numbers, so after the dust settles the
+        retained records must carry exactly the contiguous range
+        ``[dropped, total)`` and the drop counter must be exact — no
+        interleaving may lose a record silently.
+        """
+        log = TraceLog(maxlen=64)
         per_thread = 50
         n_threads = 8
 
         def worker(name):
             for i in range(per_thread):
-                recorder.record("enqueue", worker=name, index=i)
+                log.append(_record("enqueue", worker=name, index=i))
 
         threads = [
             threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
@@ -78,11 +105,14 @@ class TestRingSemantics:
             thread.join()
 
         total = n_threads * per_thread
-        assert recorder.total == total
-        assert recorder.dropped == total - 64
-        assert [e.seq for e in recorder.events()] == list(
+        assert log.total == total
+        assert log.dropped == total - 64
+        assert [seq for seq, _ in log.records()] == list(
             range(total - 64, total)
         )
+        # Every retained record is a distinct appended event.
+        keys = {(r.attrs["worker"], r.attrs["index"]) for r in log.entries()}
+        assert len(keys) == 64
 
     def test_new_trace_ids_unique(self):
         ids = {new_trace_id() for _ in range(64)}
@@ -92,11 +122,11 @@ class TestRingSemantics:
 
 class TestDump:
     def test_dump_document_shape(self, tmp_path):
-        recorder = FlightRecorder(maxlen=4)
+        log = TraceLog(maxlen=4)
         for i in range(6):
-            recorder.record("score", trace_id=f"t{i}", index=i)
+            log.append(_record("score", trace_id=f"t{i}", index=i))
         path = tmp_path / "flight.json"
-        written = recorder.dump(str(path), reason="unit_test")
+        written = log.dump(str(path), reason="unit_test")
 
         document = json.loads(path.read_text())
         assert written == 4
@@ -108,14 +138,14 @@ class TestDump:
         assert document["events"][0]["attrs"] == {"index": 2}
 
     def test_dump_never_contains_itself(self, tmp_path):
-        recorder = FlightRecorder(maxlen=8)
-        recorder.record("score")
+        log = TraceLog(maxlen=8)
+        log.append(_record("score"))
         path = tmp_path / "flight.json"
-        recorder.dump(str(path))
+        log.dump(str(path))
         document = json.loads(path.read_text())
         assert all(e["kind"] != "dump" for e in document["events"])
         # ... but the dump is on the record for the *next* dump.
-        assert recorder.events()[-1].kind == "dump"
+        assert log.entries()[-1].kind == "dump"
 
 
 class _FailingScorer:
@@ -138,7 +168,7 @@ class _HealthyScorer:
 
 class TestServeAutoDump:
     def setup_method(self):
-        flight_recorder().clear()
+        trace_log().clear()
 
     def test_auto_dump_on_request_failure(self, tmp_path):
         path = tmp_path / "failure.json"
@@ -208,11 +238,11 @@ class TestServeAutoDump:
         )
         with service:
             assert service.score(np.full(3, 2.0), timeout_s=5.0) == 2.0
-        kinds = [e.kind for e in flight_recorder().events()]
+        kinds = [e.kind for e in trace_log().entries()]
         for expected in ("enqueue", "batch_form", "score"):
             assert expected in kinds
         score_event = next(
-            e for e in flight_recorder().events() if e.kind == "score"
+            e for e in trace_log().entries() if e.kind == "score"
         )
         assert score_event.attrs["size"] == 1
         assert score_event.attrs["trace_ids"]

@@ -1,6 +1,6 @@
 """Per-request trace assembly and Chrome trace-event export.
 
-Stitching flat span/flight streams (possibly minted in different
+Grouping the flat span/event stream (possibly minted in different
 processes) into per-request trees, batch-span multi-ownership via the
 ``trace_ids`` attr, the Chrome trace-event document shape, and the
 video frame stage breakdown.
@@ -12,7 +12,6 @@ import os
 import pytest
 
 from repro.obs import MetricsRegistry, span, trace_context, trace_log
-from repro.obs.flight import FlightEvent, flight_recorder
 from repro.obs.tracing import SpanRecord
 from repro.obs.traces import (
     VIDEO_STAGE_METRIC,
@@ -41,20 +40,24 @@ def _record(name, trace_id="", span_id="", parent_id="", pid=0, **attrs):
     )
 
 
-def _event(kind, trace_id="", seq=0, **attrs):
-    return FlightEvent(
-        seq=seq, ts=100.0, kind=kind, trace_id=trace_id, thread="t",
-        attrs=attrs,
+def _event(kind, trace_id="", **attrs):
+    return SpanRecord(
+        name=kind, path=kind, duration_s=0.0, depth=0, thread="t",
+        attrs=attrs, trace_id=trace_id, start_ts=100.0, pid=os.getpid(),
+        kind=kind,
     )
+
+
+def _stream(*records):
+    """``(seq, record)`` pairs, as the trace log hands them out."""
+    return list(enumerate(records))
 
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
     trace_log().clear()
-    flight_recorder().clear()
     yield
     trace_log().clear()
-    flight_recorder().clear()
 
 
 class TestAssembly:
@@ -64,29 +67,29 @@ class TestAssembly:
             _record("b", trace_id="t2", span_id="s2"),
             _record("c", trace_id="t1", span_id="s3", parent_id="s1"),
         ]
-        traces = assemble_traces(spans=spans, events=[])
+        traces = assemble_traces(_stream(*spans))
         assert [t.trace_id for t in traces] == ["t1", "t2"]
         assert [r.name for r in traces[0].spans] == ["a", "c"]
 
     def test_batch_spans_claimed_by_every_listed_trace(self):
         batch = _record("batch", span_id="sb", trace_ids=["t1", "t2"])
-        traces = assemble_traces(spans=[batch], events=[])
+        traces = assemble_traces(_stream(batch))
         assert {t.trace_id for t in traces} == {"t1", "t2"}
         assert all(t.spans == [batch] for t in traces)
 
     def test_events_attach_to_their_trace(self):
-        spans = [_record("a", trace_id="t1", span_id="s1")]
-        events = [
-            _event("enqueue", trace_id="t1", seq=0),
-            _event("batch_form", seq=1, trace_ids=["t1"]),
-            _event("unrelated", trace_id="t9", seq=2),
-        ]
-        (t1, t9) = assemble_traces(spans=spans, events=events)
+        (t1, t9) = assemble_traces(_stream(
+            _record("a", trace_id="t1", span_id="s1"),
+            _event("enqueue", trace_id="t1"),
+            _event("batch_form", trace_ids=["t1"]),
+            _event("unrelated", trace_id="t9"),
+        ))
+        assert [r.name for r in t1.spans] == ["a"]
         assert [e.kind for e in t1.events] == ["enqueue", "batch_form"]
         assert t9.trace_id == "t9"
 
     def test_unowned_records_are_dropped(self):
-        traces = assemble_traces(spans=[_record("anon")], events=[])
+        traces = assemble_traces(_stream(_record("anon")))
         assert traces == []
 
     def test_defaults_read_the_process_log(self):
@@ -110,7 +113,7 @@ class TestSpanTree:
         child = _record(
             "score", trace_id="t1", span_id="sc", parent_id="sp", pid=2000
         )
-        (trace,) = assemble_traces(spans=[parent, child], events=[])
+        (trace,) = assemble_traces(_stream(parent, child))
         assert trace.pids == (1000, 2000)
         (root,) = trace.roots()
         assert root.name == "execute"
@@ -123,7 +126,7 @@ class TestSpanTree:
         orphan = _record(
             "score", trace_id="t1", span_id="sc", parent_id="missing"
         )
-        (trace,) = assemble_traces(spans=[orphan], events=[])
+        (trace,) = assemble_traces(_stream(orphan))
         assert trace.roots() == [orphan]
 
 
@@ -131,12 +134,12 @@ class TestChromeExport:
     def _trace(self):
         return RequestTrace(
             trace_id="t1",
-            spans=[
+            records=_stream(
                 _record("execute", span_id="sp", trace_ids=["t1"], pid=os.getpid()),
                 _record("score", trace_id="t1", span_id="sc", parent_id="sp",
                         pid=os.getpid() + 1),
-            ],
-            events=[_event("enqueue", trace_id="t1", seq=5)],
+                _event("enqueue", trace_id="t1"),
+            ),
         )
 
     def test_document_shape_validates(self):
@@ -158,10 +161,21 @@ class TestChromeExport:
 
     def test_shared_batch_spans_emitted_once(self):
         batch = _record("batch", span_id="sb", trace_ids=["t1", "t2"])
-        traces = assemble_traces(spans=[batch], events=[])
+        traces = assemble_traces(_stream(batch))
         document = to_chrome_trace(traces)
         xs = [e for e in document["traceEvents"] if e["ph"] == "X"]
         assert len(xs) == 1
+
+    def test_events_are_instants_on_their_own_pid_emitted_once(self):
+        worker_pid = os.getpid() + 1
+        shared = _event("model_call", trace_ids=["t1", "t2"])
+        shared = SpanRecord(**{**vars(shared), "pid": worker_pid})
+        document = to_chrome_trace(assemble_traces(_stream(shared)))
+        validate_chrome_trace(document)
+        (instant,) = [e for e in document["traceEvents"] if e["ph"] == "i"]
+        assert instant["name"] == "model_call"
+        assert instant["pid"] == worker_pid
+        assert instant["args"]["trace_ids"] == ["t1", "t2"]
 
     def test_timestamps_are_microseconds(self):
         document = to_chrome_trace([self._trace()])

@@ -312,11 +312,10 @@ class TestChunkAdmission:
         assert chunk_stats["energy_counter"] > 0.0
 
     def test_one_trace_per_row(self):
-        from repro.obs import flight_recorder, trace_log
+        from repro.obs import trace_log
         from repro.obs.traces import assemble_traces
 
         trace_log().clear()
-        flight_recorder().clear()
         rows = np.random.default_rng(12).random((5, 3))
         with InferenceService(_sum_model, max_batch_size=2) as service:
             service.score_many(rows)
@@ -337,7 +336,6 @@ class TestChunkAdmission:
         assert len(submit_spans) == 2  # one admission span per chunk
         assert len(submit_spans[0].attrs["trace_ids"]) == 5
         trace_log().clear()
-        flight_recorder().clear()
 
     def test_chunk_beyond_free_space_enqueues_nothing(self):
         model = _BlockingModel()
@@ -359,9 +357,9 @@ class TestChunkAdmission:
         assert [future.result(timeout=5) for future in queued] == [0.0, 0.0]
 
     def test_chunk_larger_than_queue_is_sliced(self):
-        from repro.obs import flight_recorder
+        from repro.obs import trace_log
 
-        flight_recorder().clear()
+        trace_log().clear()
         rows = np.random.default_rng(16).random((11, 3))
         with InferenceService(
             _sum_model, max_batch_size=2, queue_capacity=4, cache_capacity=0
@@ -373,13 +371,13 @@ class TestChunkAdmission:
         assert service.stats.counter("completed") == 22
         assert service.stats.counter("rejected_queue_full") == 0
         enqueues = [
-            event for event in flight_recorder().events()
+            event for event in trace_log().entries()
             if event.kind == "enqueue"
         ]
         assert [len(event.attrs["trace_ids"]) for event in enqueues] == [
             4, 4, 3, 4, 4, 3,
         ]
-        flight_recorder().clear()
+        trace_log().clear()
 
     def test_concurrent_chunks_are_all_or_nothing(self):
         """8 producers race 3-row chunks into 8 free slots: exactly two
@@ -436,9 +434,9 @@ class TestChunkAdmission:
             assert np.array_equal(outcomes[c], chunks[c].sum(axis=1))
 
     def test_chunk_deadline_expires_row_by_row(self):
-        from repro.obs import flight_recorder
+        from repro.obs import trace_log
 
-        flight_recorder().clear()
+        trace_log().clear()
         model = _BlockingModel()
         service = InferenceService(
             model, max_batch_size=1, max_wait_ms=0.0, cache_capacity=0
@@ -470,7 +468,7 @@ class TestChunkAdmission:
         assert service.stats.counter("expired_before_batch") == 3
         assert service.stats.counter("completed") == 1
         expired = [
-            event for event in flight_recorder().events()
+            event for event in trace_log().entries()
             if event.kind == "deadline_expired"
         ]
         assert len({event.trace_id for event in expired}) == 3

@@ -7,6 +7,7 @@ death/respawn. Worker processes are real forks — tests here are
 intentionally small so the suite stays fast.
 """
 
+import json
 import os
 import signal
 import sys
@@ -43,6 +44,18 @@ class _Affine:
 
     def __call__(self, matrix):
         return np.asarray(matrix)[:, 0] * 10.0 + 1.0
+
+
+class _NarratingAffine(_Affine):
+    """Records a lifecycle event from inside the (worker-side) call."""
+
+    model_id = "narrating-test"
+
+    def __call__(self, matrix):
+        from repro.obs import event
+
+        event("model_call", rows=len(matrix))
+        return super().__call__(matrix)
 
 
 class _CrashOnNegative:
@@ -429,9 +442,9 @@ class TestShardedChunkAdmission:
         assert all(any(r is b for b in batchers) for r in releasers)
 
     def test_flight_events_name_their_shard(self):
-        from repro.obs import flight_recorder
+        from repro.obs import trace_log
 
-        flight_recorder().clear()
+        trace_log().clear()
         service = _sharded(_Affine(), workers=2, queue_capacity=8,
                            cache_capacity=0)
         service._started = True  # never forked: nothing drains the queues
@@ -439,7 +452,7 @@ class TestShardedChunkAdmission:
         home = [service.shard_of(row) for row in rows]
         service._admit(rows, None, ndim=2)  # score_many would wait on results
         enqueues = [
-            event for event in flight_recorder().events()
+            event for event in trace_log().entries()
             if event.kind == "enqueue"
         ]
         assert sorted(event.attrs["shard"] for event in enqueues) == sorted(
@@ -454,14 +467,14 @@ class TestShardedChunkAdmission:
         with pytest.raises(QueueFullError, match=f"shard {busiest} queue"):
             service.score_many(rows[[home.index(busiest)] * 5])
         (rejected,) = [
-            event for event in flight_recorder().events()
+            event for event in trace_log().entries()
             if event.kind == "queue_full"
         ]
         assert rejected.attrs["shard"] == busiest
         assert len(rejected.attrs["trace_ids"]) == 5
         service._started = False
         service._closed = True
-        flight_recorder().clear()
+        trace_log().clear()
 
 
 class TestShardedTracing:
@@ -469,13 +482,11 @@ class TestShardedTracing:
 
     @pytest.fixture(autouse=True)
     def clean_obs_state(self):
-        from repro.obs import flight_recorder, trace_log
+        from repro.obs import trace_log
 
         trace_log().clear()
-        flight_recorder().clear()
         yield
         trace_log().clear()
-        flight_recorder().clear()
 
     def test_one_assembled_trace_per_request_crosses_the_fork(self):
         """Every request yields one trace whose span tree spans the
@@ -559,6 +570,43 @@ class TestShardedTracing:
         exposition = registry.render_prometheus()
         assert 'span_serve_shard_worker_score_seconds_count{shard="' in (
             exposition
+        )
+
+    def test_worker_events_reach_the_parent_dump(self, tmp_path):
+        """An event raised inside a worker's model call ships back with
+        the worker's spans: the parent's dump holds it with the worker's
+        pid, nested under the worker scoring span, and claimed by the
+        batch's request trace ids."""
+        from repro.obs import trace_log
+
+        rows = np.random.default_rng(8).random((6, 3))
+        with _sharded(_NarratingAffine(), cache_capacity=0) as service:
+            service.score_many(rows)
+            worker_pids = {shard.process.pid for shard in service._pool.shards}
+        path = tmp_path / "flight.json"
+        trace_log().dump(str(path), reason="test")
+        records = json.loads(path.read_text())["events"]
+        calls = [r for r in records if r["kind"] == "model_call"]
+        assert sum(call["attrs"]["rows"] for call in calls) == 6
+        scoring = {
+            r["span_id"]: r
+            for r in records
+            if r["name"] == "serve.shard.worker.score"
+        }
+        batches = [
+            r["attrs"]["trace_ids"] for r in records if r["kind"] == "batch_form"
+        ]
+        for call in calls:
+            assert call["pid"] in worker_pids and call["pid"] != os.getpid()
+            assert call["duration_s"] == 0.0
+            span = scoring[call["parent_id"]]
+            assert span["pid"] == call["pid"]
+            assert call["attrs"]["trace_ids"] == span["attrs"]["trace_ids"]
+            assert call["attrs"]["trace_ids"] in batches
+        enqueued = {t for r in records if r["kind"] == "enqueue"
+                    for t in r["attrs"]["trace_ids"]}
+        assert {t for call in calls for t in call["attrs"]["trace_ids"]} == (
+            enqueued
         )
 
     def test_worker_spans_ship_even_when_tracing_off(self):
