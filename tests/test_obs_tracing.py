@@ -1,6 +1,6 @@
-"""Unit tests for ``repro.obs`` span tracing.
+"""Unit tests for ``repro.obs`` span tracing and the trace ring buffer.
 
-The trace-log ring itself (spans and events in one sequence) is
+The ring holding spans and events in one sequence, and its dumps, are
 covered by ``tests/test_obs_flight.py``.
 """
 
@@ -10,6 +10,8 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
+    SpanRecord,
+    TraceLog,
     configure,
     enabled,
     observe_span,
@@ -100,6 +102,72 @@ class TestSpan:
         finally:
             configure(True)
         assert enabled()
+
+
+class TestTraceLog:
+    def test_ring_buffer_bounded_and_counts_drops(self):
+        log = TraceLog(maxlen=3)
+        for i in range(5):
+            log.append(
+                SpanRecord(
+                    name=f"s{i}", path=f"s{i}", duration_s=0.0,
+                    depth=0, thread="t",
+                )
+            )
+        entries = log.entries()
+        assert [r.name for r in entries] == ["s2", "s3", "s4"]
+        assert log.dropped == 2
+
+    def test_rejects_bad_maxlen(self):
+        with pytest.raises(ValueError):
+            TraceLog(maxlen=0)
+
+    def test_clear(self):
+        log = TraceLog(maxlen=2)
+        log.append(
+            SpanRecord(name="s", path="s", duration_s=0.0, depth=0, thread="t")
+        )
+        log.clear()
+        assert log.entries() == [] and log.dropped == 0
+
+    def test_concurrent_appends_keep_seqs_contiguous(self):
+        """8 threads hammering append: no lost or duplicated seqs.
+
+        The lock assigns sequence numbers, so after the dust settles the
+        retained records must carry exactly the contiguous range
+        ``[dropped, total)`` and the drop counter must be exact — no
+        interleaving may lose a span silently.
+        """
+        log = TraceLog(maxlen=64)
+        per_thread = 50
+        n_threads = 8
+
+        def worker(name):
+            for i in range(per_thread):
+                log.append(
+                    SpanRecord(
+                        name=f"w{name}.{i}", path=f"w{name}.{i}",
+                        duration_s=0.0, depth=0, thread=f"w{name}",
+                    )
+                )
+
+        threads = [
+            threading.Thread(target=worker, args=(t,))
+            for t in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        total = n_threads * per_thread
+        assert log.total == total
+        assert log.dropped == total - 64
+        seqs = [seq for seq, _ in log.records()]
+        assert seqs == list(range(total - 64, total))
+        # Every retained record is a distinct appended span.
+        names = {record.name for _, record in log.records()}
+        assert len(names) == 64
 
 
 class TestSummarizeSpans:
