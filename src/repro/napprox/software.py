@@ -85,6 +85,13 @@ def direction_tables(scale: int) -> Tuple[np.ndarray, np.ndarray]:
         ``(cx, cy)`` arrays of 18 signed integers,
         ``cx[b] = round(Q cos(theta_b))`` with ``theta_b = 20 b + 10``
         degrees.
+
+    Opposite directions negate (``cx[b + 9] == -cx[b]``, likewise
+    ``cy``) at the shipped Q = 16 and every even Q, but not at odd Q:
+    ``Q sin 30 deg`` is a rounding tie that the float sines of 30 and 210
+    degrees break in opposite directions, so at Q = 1 and Q = 3
+    ``cy[1] != -cy[10]`` and ``cy[7] != -cy[16]``. The kernel therefore
+    projects all 18 directions rather than 9 and their negations.
     """
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
@@ -129,53 +136,93 @@ class NApproxDescriptor:
                 f"magnitude_threshold must be >= 1, got {config.magnitude_threshold}"
             )
         self.config = config
-        self._cx, self._cy = direction_tables(config.direction_scale)
-        theta = np.radians(np.arange(N_DIRECTIONS) * 20.0 + 10.0)
-        self._cos = np.cos(theta)
-        self._sin = np.sin(theta)
+        if config.quantized:
+            cx, cy = direction_tables(config.direction_scale)
+            # Every |projection| is at most window * max(|cx| + |cy|); with
+            # a factor 2 of headroom int16 holds it for the shipped window
+            # 64 and Q 16 (bound 2816), and int64 takes over past 32767.
+            bound = 2 * config.window * int((np.abs(cx) + np.abs(cy)).max())
+            self._plane_dtype = (
+                np.int16 if bound <= np.iinfo(np.int16).max else np.int64
+            )
+        else:
+            theta = np.radians(np.arange(N_DIRECTIONS) * 20.0 + 10.0)
+            cx, cy = np.cos(theta), np.sin(theta)
+            self._plane_dtype = np.float64
+        # Shaped (18, 1, 1): each direction's factor broadcasts over its plane.
+        self._plane_cos = cx.astype(self._plane_dtype)[:, None, None]
+        self._plane_sin = cy.astype(self._plane_dtype)[:, None, None]
 
     def with_normalization(self, method: str) -> "NApproxDescriptor":
         """A copy of this descriptor with a different block normalisation."""
         return NApproxDescriptor(replace(self.config, normalization=method))
 
     # ------------------------------------------------------------------
-    def pixel_votes(self, image: np.ndarray) -> np.ndarray:
-        """Per-pixel direction votes of shape ``(H, W, 18)`` (boolean)."""
+    def _vote_planes(self, image: np.ndarray, whole_cells: bool) -> np.ndarray:
+        """The vote kernel: direction-major votes of shape ``(18, H', W')``.
+
+        Gradients are centred differences of the edge-padded image. With
+        ``whole_cells`` they are trimmed to the whole cells before
+        anything is projected (``H' = H // cell * cell``, likewise
+        ``W'``); otherwise ``(H', W') == (H, W)``. Each direction is one
+        contiguous ``(H', W')`` plane of ``_plane_dtype``, and the
+        cyclic winner rule of :func:`winner_votes` is applied as
+        comparisons between neighbouring planes.
+        """
+        config = self.config
         gray = to_float_image(rgb_to_grayscale(to_float_image(image)))
-        if self.config.quantized:
-            counts = np.round(gray * self.config.window).astype(np.int64)
-            padded = np.pad(counts, 1, mode="edge")
-            ix = padded[1:-1, 2:] - padded[1:-1, :-2]
-            iy = padded[:-2, 1:-1] - padded[2:, 1:-1]
-            projection = (
-                ix[..., None] * self._cx[None, None, :]
-                + iy[..., None] * self._cy[None, None, :]
-            )
+        height, width = gray.shape
+        if whole_cells:
+            height -= height % config.cell_size
+            width -= width % config.cell_size
+        if config.quantized:
+            values = np.round(gray * config.window).astype(self._plane_dtype)
+        else:
+            values = gray
+        padded = np.pad(values, 1, mode="edge")
+        ix = padded[1 : height + 1, 2 : width + 2] - padded[1 : height + 1, :width]
+        iy = padded[:height, 1 : width + 1] - padded[2 : height + 2, 1 : width + 1]
+        magnitudes = ix * self._plane_cos
+        magnitudes += iy * self._plane_sin
+        np.maximum(magnitudes, 0, out=magnitudes)
+        if config.quantized:
             # The magnitude neuron fires once per `magnitude_threshold` of
             # accumulated positive projection (linear reset), flooring the
             # remainder.
-            magnitudes = np.maximum(projection, 0) // self.config.magnitude_threshold
-        else:
-            padded = np.pad(gray, 1, mode="edge")
-            ix = padded[1:-1, 2:] - padded[1:-1, :-2]
-            iy = padded[:-2, 1:-1] - padded[2:, 1:-1]
-            projection = (
-                ix[..., None] * self._cos[None, None, :]
-                + iy[..., None] * self._sin[None, None, :]
+            np.floor_divide(
+                magnitudes, config.magnitude_threshold, out=magnitudes
             )
-            magnitudes = np.maximum(projection, 0.0)
-        return winner_votes(magnitudes)
+        beats_next = np.empty(magnitudes.shape, dtype=bool)
+        np.greater(magnitudes[:-1], magnitudes[1:], out=beats_next[:-1])
+        np.greater(magnitudes[-1], magnitudes[0], out=beats_next[-1])
+        # On booleans `a > b` is `a & ~b`: beats the next direction and is
+        # not beaten by the previous one.
+        votes = np.empty_like(beats_next)
+        np.greater(beats_next[1:], beats_next[:-1], out=votes[1:])
+        np.greater(beats_next[0], beats_next[-1], out=votes[0])
+        return votes
+
+    def pixel_votes(self, image: np.ndarray) -> np.ndarray:
+        """Per-pixel direction votes of shape ``(H, W, 18)`` (boolean)."""
+        return np.moveaxis(self._vote_planes(image, whole_cells=False), 0, -1)
 
     def cell_grid(self, image: np.ndarray) -> np.ndarray:
         """Count-voted cell histograms of shape ``(cy, cx, 18)``."""
-        votes = self.pixel_votes(image)
         cs = self.config.cell_size
-        n_cells_y = votes.shape[0] // cs
-        n_cells_x = votes.shape[1] // cs
-        trimmed = votes[: n_cells_y * cs, : n_cells_x * cs].astype(np.float64)
-        return trimmed.reshape(n_cells_y, cs, n_cells_x, cs, N_DIRECTIONS).sum(
-            axis=(1, 3)
-        )
+        votes = self._vote_planes(image, whole_cells=True).view(np.uint8)
+        n_bins, height, width = votes.shape
+        # Sum each cell's rows, then its columns, in the narrowest
+        # unsigned type that holds a full cell of votes.
+        total = np.min_scalar_type(cs * cs)
+        rows = votes.reshape(n_bins, height // cs, cs, width)
+        acc = rows[:, :, 0].astype(total)
+        for offset in range(1, cs):
+            acc += rows[:, :, offset]
+        columns = acc.reshape(n_bins, height // cs, width // cs, cs)
+        cells = columns[..., 0].copy()
+        for offset in range(1, cs):
+            cells += columns[..., offset]
+        return cells.transpose(1, 2, 0).astype(np.float64)
 
     def cell_histogram(self, patch: np.ndarray) -> np.ndarray:
         """Histogram of one cell from its ``(cell+2) x (cell+2)`` patch.

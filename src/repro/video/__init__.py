@@ -38,6 +38,7 @@ from repro.video.pipeline import (
     VideoPipelineConfig,
     VideoReport,
     pool_feature_rows,
+    pooled_window_rows,
 )
 from repro.video.synthesis import (
     MOTION_LEVELS,
@@ -63,5 +64,6 @@ __all__ = [
     "build_video_workload",
     "calibrated_feature_scale",
     "pool_feature_rows",
+    "pooled_window_rows",
     "synthesize_sequence",
 ]

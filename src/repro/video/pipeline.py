@@ -1,12 +1,11 @@
 """The frame-level streaming pipeline: pyramid -> cells -> serve -> NMS.
 
 Each frame is decomposed into an image pyramid, every level's cell grid
-is swept into detection-window feature rows
-(:func:`~repro.detection.pipeline.sliding_window_features`), the rows
-are pooled to the deployable feature width and fanned out as individual
-requests to an :class:`~repro.serve.InferenceService` (or its sharded
-variant), and the thresholded scores are reassembled into per-frame
-detections through the paper's greedy NMS.
+is pooled to the deployable feature width and swept into one row per
+detection window (:func:`pooled_window_rows`), the rows are fanned out
+as individual requests to an :class:`~repro.serve.InferenceService` (or
+its sharded variant), and the thresholded scores are reassembled into
+per-frame detections through the paper's greedy NMS.
 
 Levels are scored **coarsest first**. That ordering is what makes the
 per-frame deadline budget degrade gracefully: when the budget runs out
@@ -32,7 +31,10 @@ import numpy as np
 
 from repro.detection.evaluate import DetectionCurve, evaluate_detections
 from repro.detection.nms import non_maximum_suppression
-from repro.detection.pipeline import Detection, sliding_window_features
+from repro.detection.pipeline import Detection
+# Not called here: kept importable from this module because perfbench
+# probes it and builds its gate rows (the pre-pooling path) through it.
+from repro.detection.pipeline import sliding_window_features  # noqa: F401
 from repro.detection.pyramid import ImagePyramid
 from repro.obs import (
     SPAN_BUCKETS,
@@ -261,6 +263,75 @@ def pool_feature_rows(
     return pooled.reshape(n, -1)
 
 
+def pooled_window_rows(
+    grid: np.ndarray,
+    window_cells: Tuple[int, int],
+    pool: Tuple[int, int] = (4, 2),
+    bin_merge: int = 3,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every window's pooled feature row, pooled once on the cell grid.
+
+    Bit for bit ``pool_feature_rows(sliding_window_features(grid))``
+    with the positions of :func:`sliding_window_features`, but each
+    cell's bins are merged and each ``py x px`` cell box is summed once
+    per grid rather than once per window that overlaps it (Ngo et al.,
+    arXiv:1802.02187, share cells and blocks across overlapping windows
+    the same way). A window's row gathers its ``(wy // py) x (wx // px)``
+    boxes, so the raw ``(n, wy * wx * n_bins)`` window matrix is never
+    built. The box sums add the cells in the order ``mean`` does on the
+    raw rows, so float grids pool identically too while at least two
+    merged bins remain (with ``bin_merge == n_bins`` numpy reduces the
+    raw rows pairwise, and a float grid may differ in the last bit;
+    integer-valued grids such as NApprox counts are exact either way).
+
+    Args:
+        grid: ``(gy, gx, n_bins)`` cell histograms of one pyramid level.
+        window_cells: ``(wy, wx)`` window extent in cells.
+        pool: cells averaged per pooled feature, ``(y, x)``.
+        bin_merge: adjacent bins summed per merged bin (must divide
+            ``n_bins``).
+
+    Returns:
+        ``(rows (n, (wy // py) * (wx // px) * (n_bins // bin_merge)),
+        positions (n, 2))``, positions being each window's top-left
+        ``(cell_y, cell_x)``; both empty when the window does not fit.
+    """
+    grid = np.ascontiguousarray(grid, dtype=np.float64)
+    gy, gx, n_bins = grid.shape
+    wy, wx = window_cells
+    py, px = pool
+    if n_bins % bin_merge:
+        raise ValueError(f"bin_merge {bin_merge} must divide n_bins {n_bins}")
+    blocks_y, blocks_x = wy // py, wx // px
+    n_merged = n_bins // bin_merge
+    ny, nx = gy - wy + 1, gx - wx + 1
+    if ny < 1 or nx < 1:
+        return (
+            np.zeros((0, blocks_y * blocks_x * n_merged)),
+            np.zeros((0, 2), dtype=int),
+        )
+    if bin_merge > 1:
+        grid = grid.reshape(gy, gx, n_merged, bin_merge).sum(axis=-1)
+    # boxes[y, x] = mean of the py x px cells whose top-left is (y, x).
+    hy, hx = gy - py + 1, gx - px + 1
+    boxes = np.zeros((hy, hx, n_merged))
+    for dy in range(py):
+        for dx in range(px):
+            boxes += grid[dy : dy + hy, dx : dx + hx]
+    boxes /= py * px
+    # Window (y, x) reads boxes[y + i * py, x + j * px] for its blocks.
+    sy, sx, sb = boxes.strides
+    view = np.lib.stride_tricks.as_strided(
+        boxes,
+        shape=(ny, nx, blocks_y, blocks_x, n_merged),
+        strides=(sy, sx, py * sy, px * sx, sb),
+        writeable=False,
+    )
+    rows = view.reshape(ny * nx, -1)
+    ys, xs = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+    return rows, np.stack([ys.ravel(), xs.ravel()], axis=1)
+
+
 def _chunked(rows: np.ndarray, size: int):
     """Yield ``rows`` in contiguous blocks of at most ``size``."""
     for start in range(0, rows.shape[0], size):
@@ -272,7 +343,7 @@ class VideoPipeline:
 
     Args:
         extractor: cell-grid descriptor (``cell_grid(image)`` plus a
-            ``config`` with ``cell_size``/``n_bins``), shared with the
+            ``config`` with ``cell_size``), shared with the
             still-image detector.
         service: a **started** :class:`~repro.serve.InferenceService`
             or :class:`~repro.serve.ShardedInferenceService` whose model
@@ -309,7 +380,6 @@ class VideoPipeline:
         self._clock = clock or getattr(service, "clock", time.monotonic)
         descriptor_config = extractor.config
         self.cell_size = int(descriptor_config.cell_size)
-        self.n_bins = int(getattr(descriptor_config, "n_bins", 18))
         self.window_cells = (
             config.window_shape[0] // self.cell_size,
             config.window_shape[1] // self.cell_size,
@@ -375,7 +445,7 @@ class VideoPipeline:
         window_h, window_w = config.window_shape
 
         boxes: List[np.ndarray] = []
-        scores: List[float] = []
+        scores: List[np.ndarray] = []
         with trace_context(result.trace_id), span(
             "video.frame", index=index, registry=self.registry
         ):
@@ -398,25 +468,17 @@ class VideoPipeline:
                             self.extractor.cell_grid(level.image),
                             dtype=np.float64,
                         )
-                        raw, positions = sliding_window_features(
-                            grid, self.window_cells
-                        )
                     result.levels_scored += 1
-                    if raw.shape[0] == 0:
-                        continue
                     with self._stage("pool", level_index):
-                        rows = np.clip(
-                            pool_feature_rows(
-                                raw,
-                                self.window_cells,
-                                self.n_bins,
-                                pool=config.pool,
-                                bin_merge=config.bin_merge,
-                            )
-                            * config.feature_scale,
-                            0.0,
-                            1.0,
+                        rows, positions = pooled_window_rows(
+                            grid,
+                            self.window_cells,
+                            pool=config.pool,
+                            bin_merge=config.bin_merge,
                         )
+                        rows = np.clip(rows * config.feature_scale, 0.0, 1.0)
+                    if rows.shape[0] == 0:
+                        continue
                     with self._stage("serve", level_index):
                         level_scores = np.concatenate(
                             [
@@ -432,25 +494,27 @@ class VideoPipeline:
                             ]
                         )
                 result.windows_scored += int(rows.shape[0])
-                for hit in np.where(level_scores > config.score_threshold)[0]:
-                    cy, cx = positions[hit]
-                    boxes.append(
-                        np.array(
-                            [
-                                cx * self.cell_size * level.scale,
-                                cy * self.cell_size * level.scale,
-                                window_w * level.scale,
-                                window_h * level.scale,
-                            ]
-                        )
+                hits = np.flatnonzero(level_scores > config.score_threshold)
+                if hits.size:
+                    level_boxes = np.empty((hits.size, 4))
+                    level_boxes[:, 0] = (
+                        positions[hits, 1] * self.cell_size * level.scale
                     )
-                    scores.append(float(level_scores[hit]))
+                    level_boxes[:, 1] = (
+                        positions[hits, 0] * self.cell_size * level.scale
+                    )
+                    level_boxes[:, 2] = window_w * level.scale
+                    level_boxes[:, 3] = window_h * level.scale
+                    boxes.append(level_boxes)
+                    scores.append(level_scores[hits])
 
             if boxes:
-                box_arr = np.stack(boxes)
-                score_arr = np.asarray(scores)
+                box_arr = np.concatenate(boxes)
+                score_arr = np.concatenate(scores)
                 with span(
-                    "video.nms", candidates=len(boxes), registry=self.registry
+                    "video.nms",
+                    candidates=box_arr.shape[0],
+                    registry=self.registry,
                 ), self._stage("nms", "frame"):
                     kept = non_maximum_suppression(
                         box_arr, score_arr, epsilon=config.nms_epsilon
@@ -550,4 +614,5 @@ __all__ = [
     "VideoPipelineConfig",
     "VideoReport",
     "pool_feature_rows",
+    "pooled_window_rows",
 ]

@@ -10,8 +10,7 @@ LRU cache is sound and both engines score bit-identically.
 
 Training features are computed through the *same* code path the
 streaming pipeline uses at inference time
-(:func:`~repro.detection.pipeline.sliding_window_features` followed by
-:func:`~repro.video.pipeline.pool_feature_rows`), so the train and
+(:func:`~repro.video.pipeline.pooled_window_rows`), so the train and
 serve distributions match by construction.
 """
 
@@ -21,12 +20,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.datasets import SyntheticPersonDataset
-from repro.detection.pipeline import TrueNorthBinaryScorer, sliding_window_features
+from repro.detection.pipeline import TrueNorthBinaryScorer
 from repro.eedn.layers import ThresholdActivation, TrinaryDense
 from repro.eedn.network import EednNetwork
 from repro.eedn.train import TrainConfig, train_network
 from repro.utils.rng import RngLike, resolve_rng
-from repro.video.pipeline import pool_feature_rows
+from repro.video.pipeline import pooled_window_rows
 
 #: The pooled-count quantile mapped to this firing probability (same
 #: calibration contract as the fault sweep's ``calibrated_scale``).
@@ -89,7 +88,6 @@ def _window_rows(
     extractor,
     windows: np.ndarray,
     window_cells: Tuple[int, int],
-    n_bins: int,
     pool: Tuple[int, int],
     bin_merge: int,
 ) -> np.ndarray:
@@ -97,10 +95,8 @@ def _window_rows(
     rows = []
     for window in windows:
         grid = np.asarray(extractor.cell_grid(window), dtype=np.float64)
-        raw, _ = sliding_window_features(grid, window_cells)
-        rows.append(
-            pool_feature_rows(raw, window_cells, n_bins, pool, bin_merge)[0]
-        )
+        pooled, _ = pooled_window_rows(grid, window_cells, pool, bin_merge)
+        rows.append(pooled[0])
     return np.stack(rows)
 
 
@@ -141,14 +137,13 @@ def build_video_workload(
         )
     config = extractor.config
     cell_size = int(config.cell_size)
-    n_bins = int(getattr(config, "n_bins", 18))
     window_cells = (128 // cell_size, 64 // cell_size)
 
     dataset = SyntheticPersonDataset(rng=int(master.integers(0, 2**31 - 1)))
     pos = dataset.positive_windows(n_train)
     neg = dataset.negative_windows(n_train)
-    pos_rows = _window_rows(extractor, pos, window_cells, n_bins, pool, bin_merge)
-    neg_rows = _window_rows(extractor, neg, window_cells, n_bins, pool, bin_merge)
+    pos_rows = _window_rows(extractor, pos, window_cells, pool, bin_merge)
+    neg_rows = _window_rows(extractor, neg, window_cells, pool, bin_merge)
     scale = calibrated_feature_scale(np.vstack([pos_rows, neg_rows]))
 
     features = np.clip(np.vstack([pos_rows, neg_rows]) * scale, 0.0, 1.0)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.napprox import NApproxConfig, NApproxDescriptor
-from repro.napprox.software import direction_tables, winner_votes
+from repro.napprox.software import N_DIRECTIONS, direction_tables, winner_votes
+from repro.utils.images import rgb_to_grayscale, to_float_image
 
 
 class TestDirectionTables:
@@ -25,9 +26,18 @@ class TestDirectionTables:
 
     def test_symmetry(self):
         cx, cy = direction_tables(16)
-        # Opposite directions (9 bins apart) negate.
-        assert np.allclose(cx[:9], -cx[9:])
-        assert np.allclose(cy[:9], -cy[9:])
+        # At the shipped Q = 16, opposite directions (9 bins apart) negate.
+        assert np.array_equal(cx[:9], -cx[9:])
+        assert np.array_equal(cy[:9], -cy[9:])
+
+    def test_odd_scale_breaks_symmetry(self):
+        # Q sin(30 deg) sits on a rounding tie, and the float sines of 30
+        # and 210 degrees fall on opposite sides of it: cy[1] = 0 but
+        # cy[10] = -1 at Q = 1 (bins 7 and 16 likewise).
+        for scale in (1, 3):
+            cx, cy = direction_tables(scale)
+            assert np.array_equal(cx[:9], -cx[9:])
+            assert np.flatnonzero(cy[:9] != -cy[9:]).tolist() == [1, 7]
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
@@ -159,3 +169,133 @@ class TestQuantizedModel:
         other = descriptor.with_normalization("none")
         assert other.config.normalization == "none"
         assert other.config.quantized == descriptor.config.quantized
+
+
+# ----------------------------------------------------------------------
+# The kernel oracle: the (H, W, 18) projection kernel, frozen here as
+# the reference the direction-major plane kernel must match bit for bit.
+
+
+def _reference_pixel_votes(config, image):
+    """Per-pixel votes from one int64 (or float) ``(H, W, 18)`` projection."""
+    cx, cy = direction_tables(config.direction_scale)
+    theta = np.radians(np.arange(N_DIRECTIONS) * 20.0 + 10.0)
+    gray = to_float_image(rgb_to_grayscale(to_float_image(image)))
+    if config.quantized:
+        counts = np.round(gray * config.window).astype(np.int64)
+        padded = np.pad(counts, 1, mode="edge")
+        ix = padded[1:-1, 2:] - padded[1:-1, :-2]
+        iy = padded[:-2, 1:-1] - padded[2:, 1:-1]
+        projection = (
+            ix[..., None] * cx[None, None, :] + iy[..., None] * cy[None, None, :]
+        )
+        magnitudes = np.maximum(projection, 0) // config.magnitude_threshold
+    else:
+        padded = np.pad(gray, 1, mode="edge")
+        ix = padded[1:-1, 2:] - padded[1:-1, :-2]
+        iy = padded[:-2, 1:-1] - padded[2:, 1:-1]
+        projection = (
+            ix[..., None] * np.cos(theta)[None, None, :]
+            + iy[..., None] * np.sin(theta)[None, None, :]
+        )
+        magnitudes = np.maximum(projection, 0.0)
+    return winner_votes(magnitudes)
+
+
+def _reference_cell_grid(config, image):
+    votes = _reference_pixel_votes(config, image)
+    cs = config.cell_size
+    n_cells_y = votes.shape[0] // cs
+    n_cells_x = votes.shape[1] // cs
+    trimmed = votes[: n_cells_y * cs, : n_cells_x * cs].astype(np.float64)
+    return trimmed.reshape(n_cells_y, cs, n_cells_x, cs, N_DIRECTIONS).sum(
+        axis=(1, 3)
+    )
+
+
+def _image(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        return rng.random(shape)
+    if kind == "uint8":
+        return rng.integers(0, 256, shape, dtype=np.uint8)
+    if kind == "rgb":
+        return rng.random(shape + (3,))
+    if kind == "binary":
+        return rng.integers(0, 2, shape).astype(np.float64)
+    if kind == "constant":
+        return np.full(shape, rng.random())
+    return np.zeros(shape)
+
+
+def _assert_matches_reference(config, image):
+    descriptor = NApproxDescriptor(config)
+    votes = descriptor.pixel_votes(image)
+    expected_votes = _reference_pixel_votes(config, image)
+    assert votes.shape == expected_votes.shape
+    assert votes.dtype == expected_votes.dtype == np.bool_
+    assert np.array_equal(votes, expected_votes)
+    grid = descriptor.cell_grid(image)
+    expected_grid = _reference_cell_grid(config, image)
+    assert grid.shape == expected_grid.shape
+    assert grid.dtype == expected_grid.dtype == np.float64
+    assert np.array_equal(grid, expected_grid)
+
+
+class TestKernelOracle:
+    """The plane kernel against the frozen ``(H, W, 18)`` kernel."""
+
+    @given(
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        kind=st.sampled_from(
+            ["float", "uint8", "rgb", "binary", "constant", "zeros"]
+        ),
+        quantized=st.booleans(),
+        window=st.integers(1, 256),
+        magnitude_threshold=st.integers(1, 8),
+        direction_scale=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(
+        self,
+        height,
+        width,
+        kind,
+        quantized,
+        window,
+        magnitude_threshold,
+        direction_scale,
+        seed,
+    ):
+        config = NApproxConfig(
+            quantized=quantized,
+            window=window,
+            direction_scale=direction_scale,
+            magnitude_threshold=magnitude_threshold,
+        )
+        _assert_matches_reference(config, _image(kind, (height, width), seed))
+
+    @pytest.mark.parametrize("direction_scale", [1, 3, 16])
+    @pytest.mark.parametrize("quantized", [True, False])
+    def test_pyramid_sized_frame(self, direction_scale, quantized):
+        config = NApproxConfig(quantized=quantized, direction_scale=direction_scale)
+        _assert_matches_reference(config, _image("float", (139, 185), 7))
+
+    @pytest.mark.parametrize(
+        "window, dtype", [(744, np.int16), (745, np.int64)]
+    )
+    def test_dtype_boundary(self, window, dtype):
+        # max(|cx| + |cy|) = 22 at Q = 16, so the int16 bound
+        # 2 * window * 22 <= 32767 holds up to window 744.
+        config = NApproxConfig(window=window, magnitude_threshold=1)
+        assert NApproxDescriptor(config)._plane_dtype is dtype
+        # Binary pixels give |ix| = |iy| = window: the largest projections.
+        _assert_matches_reference(config, _image("binary", (48, 40), 11))
+
+    def test_below_one_cell(self):
+        descriptor = NApproxDescriptor()
+        assert descriptor.cell_grid(np.ones((7, 30))).shape == (0, 3, 18)
+        assert descriptor.cell_grid(np.ones((30, 7))).shape == (3, 0, 18)
+        assert descriptor.pixel_votes(np.ones((7, 5))).shape == (7, 5, 18)

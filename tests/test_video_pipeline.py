@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.detection.pipeline import TrueNorthBinaryScorer
+from repro.detection.nms import non_maximum_suppression
+from repro.detection.pipeline import TrueNorthBinaryScorer, sliding_window_features
+from repro.detection.pyramid import ImagePyramid
 from repro.eedn.layers import ThresholdActivation, TrinaryDense
 from repro.eedn.network import EednNetwork
 from repro.obs import MetricsRegistry
@@ -15,6 +17,7 @@ from repro.video import (
     VideoPipeline,
     VideoPipelineConfig,
     pool_feature_rows,
+    pooled_window_rows,
     synthesize_sequence,
 )
 
@@ -94,6 +97,120 @@ class TestPoolFeatureRows:
     def test_bad_bin_merge_rejected(self):
         with pytest.raises(ValueError, match="bin_merge"):
             pool_feature_rows(np.zeros((1, 4 * 2 * 18)), (4, 2), 18, bin_merge=5)
+
+
+class TestPooledWindowRows:
+    """Pooling on the grid against sweeping then pooling raw rows."""
+
+    @pytest.mark.parametrize("bin_merge", [1, 3, 9])
+    @pytest.mark.parametrize("pool", [(4, 2), (3, 3)])
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    @pytest.mark.parametrize("grid_shape", [(16, 8), (21, 13), (30, 40)])
+    def test_matches_sweep_then_pool(self, grid_shape, kind, pool, bin_merge):
+        rng = np.random.default_rng([*grid_shape, int(kind == "int")])
+        if kind == "int":
+            grid = rng.integers(0, 65, grid_shape + (18,))
+        else:
+            grid = rng.random(grid_shape + (18,)) * 10.0 ** rng.uniform(-3, 3)
+        raw, positions = sliding_window_features(grid, (16, 8))
+        expected = pool_feature_rows(raw, (16, 8), 18, pool, bin_merge)
+        rows, got_positions = pooled_window_rows(grid, (16, 8), pool, bin_merge)
+        assert rows.dtype == expected.dtype == np.float64
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+        assert got_positions.dtype == positions.dtype
+        assert np.array_equal(got_positions, positions)
+
+    def test_exactly_one_window(self):
+        grid = np.random.default_rng(0).integers(0, 65, (16, 8, 18))
+        rows, positions = pooled_window_rows(grid, (16, 8))
+        assert rows.shape == (1, 96)
+        assert positions.tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("grid_shape", [(15, 8), (16, 7), (0, 0)])
+    def test_grid_smaller_than_window_is_empty(self, grid_shape):
+        grid = np.ones(grid_shape + (18,))
+        rows, positions = pooled_window_rows(grid, (16, 8), (3, 3), 9)
+        assert rows.shape == (0, 5 * 2 * 2)
+        assert positions.shape == (0, 2)
+
+    def test_bad_bin_merge_rejected(self):
+        with pytest.raises(ValueError, match="bin_merge"):
+            pooled_window_rows(np.zeros((16, 8, 18)), (16, 8), bin_merge=5)
+
+
+class _RecordingService:
+    """Records every row fanned out; scores each by its feature sum."""
+
+    def __init__(self):
+        self.rows = []
+        self.stats = SimpleNamespace(counter=lambda name: 0)
+
+    def score_many(self, rows, timeout_s=None):
+        self.rows.append(np.array(rows))
+        return rows.sum(axis=1) - 6.0
+
+
+class TestServedRowsMatchSweepThenPool:
+    """A real NApprox frame: the rows served, and the detections made,
+    equal those of sweeping raw window rows and pooling them."""
+
+    @pytest.mark.parametrize("motion", ["full", "walk", "static"])
+    def test_rows_and_detections(self, motion):
+        from repro.napprox import NApproxConfig, NApproxDescriptor
+
+        extractor = NApproxDescriptor(
+            NApproxConfig(quantized=True, window=64, normalization="none")
+        )
+        config = VideoPipelineConfig(feature_scale=0.05)
+        image = synthesize_sequence(
+            VideoConfig(shape=(240, 320), n_frames=2, motion=motion), rng=1
+        )[1].image
+        service = _RecordingService()
+        frame = VideoPipeline(extractor, service, config).process_frame(image)
+
+        levels = ImagePyramid(
+            image,
+            window_shape=config.window_shape,
+            scale_factor=config.scale_factor,
+            max_levels=config.max_levels,
+        ).levels()
+        rows, boxes, scores = [], [], []
+        for level in reversed(levels):
+            grid = np.asarray(extractor.cell_grid(level.image), dtype=np.float64)
+            raw, positions = sliding_window_features(grid, (16, 8))
+            pooled = np.clip(
+                pool_feature_rows(raw, (16, 8), 18, config.pool, config.bin_merge)
+                * config.feature_scale,
+                0.0,
+                1.0,
+            )
+            rows.append(pooled)
+            level_scores = pooled.sum(axis=1) - 6.0
+            for hit in np.where(level_scores > config.score_threshold)[0]:
+                cy, cx = positions[hit]
+                boxes.append(
+                    np.array(
+                        [
+                            cx * 8 * level.scale,
+                            cy * 8 * level.scale,
+                            64 * level.scale,
+                            128 * level.scale,
+                        ]
+                    )
+                )
+                scores.append(float(level_scores[hit]))
+        expected = np.vstack(rows)
+        served = np.vstack(service.rows)
+        assert served.shape == expected.shape
+        assert served.tobytes() == expected.tobytes()
+
+        assert boxes, "the scorer should pass some windows"
+        box_arr, score_arr = np.stack(boxes), np.asarray(scores)
+        kept = non_maximum_suppression(box_arr, score_arr, epsilon=0.2)
+        assert frame.detections_key() == tuple(
+            (*map(float, box_arr[i]), float(score_arr[i])) for i in kept
+        )
 
 
 class TestCacheLocality:
