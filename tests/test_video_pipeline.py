@@ -10,6 +10,7 @@ from repro.detection.pipeline import TrueNorthBinaryScorer, sliding_window_featu
 from repro.detection.pyramid import ImagePyramid
 from repro.eedn.layers import ThresholdActivation, TrinaryDense
 from repro.eedn.network import EednNetwork
+from repro.napprox import NApproxConfig, NApproxDescriptor
 from repro.obs import MetricsRegistry
 from repro.serve import InferenceService, ShardedInferenceService
 from repro.video import (
@@ -157,8 +158,6 @@ class TestServedRowsMatchSweepThenPool:
 
     @pytest.mark.parametrize("motion", ["full", "walk", "static"])
     def test_rows_and_detections(self, motion):
-        from repro.napprox import NApproxConfig, NApproxDescriptor
-
         extractor = NApproxDescriptor(
             NApproxConfig(quantized=True, window=64, normalization="none")
         )
