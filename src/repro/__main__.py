@@ -14,10 +14,8 @@ Usage::
     python -m repro serve --flaky-rate 0.2 --retries 3   # resilience demo
     python -m repro faults            # fault-rate degradation sweep
     python -m repro video             # streaming video pipeline demo
-    python -m repro trace <cmd>       # any command + span trace summary
-    python -m repro trace --export t.json <cmd>   # + Chrome trace JSON
-    python -m repro profile <cmd>     # any command + hw-counter profile
-    python -m repro slo <cmd>         # any command + latency/energy SLOs
+    python -m repro obs <cmd>         # any command + spans, hw profile, SLOs
+    python -m repro obs --export t.json --output obs.json <cmd>
 
 ``--small`` shrinks the data split for a faster (noisier) run.
 ``--chunk-size`` sets windows per classifier call.
@@ -28,31 +26,29 @@ one JSON snapshot covering simulator ticks, windows scored, the batch
 histogram, cache hit rate, and per-span timings, plus a
 Prometheus-style text exposition (``--metrics-output PATH`` writes the
 exposition to a file — the CI ``obs-smoke`` job scrapes it).
-``trace <cmd>`` runs any other command and then prints the span
-aggregates and the tail of the trace log (spans and lifecycle events
-in one ring); ``--export PATH`` additionally groups the run's records
-into per-request traces (``docs/OBSERVABILITY.md``) and writes Chrome
-trace-event JSON for ``chrome://tracing`` / Perfetto, and video runs
-get the per-stage/per-level frame latency breakdown. ``slo <cmd>``
-(DESIGN.md §16) runs any other command with metrics forced on and then
-evaluates the declared latency and joules-per-request objectives over
-the run's histograms — compliance, error-budget burn rate, met/violated
-— publishing ``slo_*`` series back into the registry and emitting a
-schema-validated JSON report (``--objectives PATH`` loads custom
-objectives, ``--output PATH`` writes the report, ``--check`` gates the
-exit code).
-
-Hardware-counter telemetry (DESIGN.md §12): ``profile <cmd>`` runs any
-other command inside a hardware-counter collection scope and emits a
-JSON profile — spikes, synaptic events, membrane updates, router hops,
-fault drops/echoes — plus the attributed energy (total joules,
-nJ/lane, sustained mW) and a top-N hot-core table
-(``--output PATH`` writes the JSON, ``--top N`` sizes the table). The
-per-core rollup is also published as labeled
-``hw_core_spikes_total{core="..."}`` registry counters. ``serve
---flight-dump PATH`` writes the trace log — the bounded ring of spans
-and lifecycle events, worker-side records included — to PATH when the
-run ends and automatically on request failure or breaker-open.
+``obs <cmd>`` runs any other command once, with metrics forced on and
+inside a hardware-counter scope that sees engine runs on every thread,
+then prints (1) the span aggregates, the tail of the trace log (spans
+and lifecycle events in one ring) and, for video runs, the
+per-stage/per-level frame latency breakdown; (2) the hardware profile
+(DESIGN.md §12) — spikes, synaptic events, membrane updates, router
+hops, fault drops/echoes, the attributed energy (total joules,
+nJ/lane, sustained mW) and a ``--top N`` hot-core table, also
+published as labeled ``hw_core_spikes_total{core="..."}`` counters;
+(3) the verdicts of the declared latency and joules-per-request
+objectives (DESIGN.md §16) — compliance, error-budget burn rate,
+met/violated — published back as ``slo_*`` series (a
+``--metrics-output`` file is rewritten to carry them).
+``--export PATH`` writes the run's per-request traces
+(``docs/OBSERVABILITY.md``) as Chrome trace-event JSON for
+``chrome://tracing`` / Perfetto, ``--objectives PATH`` loads custom
+objectives, ``--check`` exits 1 on a violated objective, and
+``--output PATH`` writes one JSON document ``{command, exit_code,
+spans, profile, slo}`` whose ``slo`` value is the schema-validated
+``repro.slo/v1`` report. ``serve --flight-dump PATH`` writes the trace
+log — the bounded ring of spans and lifecycle events, worker-side
+records included — to PATH when the run ends and automatically on
+request failure or breaker-open.
 
 Fault injection (DESIGN.md §11, ``docs/FAULT_MODEL.md``): ``faults``
 sweeps a hardware fault rate and reports detection miss-rate
@@ -108,15 +104,18 @@ def _data(small: bool):
 def main(argv=None) -> int:
     """Parse the experiment name and print its report."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "trace":
-        return _trace(argv[1:])
-    if argv and argv[0] == "profile":
-        return _profile(argv[1:])
-    if argv and argv[0] == "slo":
-        return _slo(argv[1:])
+    if argv and argv[0] == "obs":
+        return _obs(argv[1:])
+    return _run(_parser().parse_args(argv))
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command (``obs`` reuses it on its remainder)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Regenerate tables and figures of the DAC'17 paper.",
+        description="Regenerate tables and figures of the DAC'17 paper. "
+        "`python -m repro obs [options] <command>` runs any command and "
+        "reports its spans, hardware profile and SLOs (obs --help).",
     )
     parser.add_argument(
         "experiment",
@@ -271,7 +270,11 @@ def main(argv=None) -> int:
         "--video-shape", default="240x320", metavar="HxW",
         help="frame shape in pixels (--small shrinks it to 160x224)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _run(args) -> int:
+    """Run the parsed command; its exit code."""
     if args.metrics_output:
         args.metrics = True
 
@@ -572,39 +575,107 @@ def _video(args) -> int:
     return 0
 
 
-def _trace(argv) -> int:
-    """Run ``argv`` as a normal command, then print the span summary.
+def _obs(argv) -> int:
+    """Run one command with metrics on, then report what it cost.
 
-    ``--export PATH`` additionally groups the run's spans and events
-    into per-request traces and writes them as Chrome
-    trace-event JSON (open in ``chrome://tracing`` or Perfetto); for
-    video runs the per-stage/per-level latency breakdown from the
-    ``video_stage_seconds`` histograms is printed too.
+    The command's own parser reads the remainder of ``argv``; the run
+    is forced onto the process-wide registry and wrapped in an
+    all-threads hardware-counter scope, so engine runs on the serving
+    layer's dispatch threads count too. Afterwards the span table, the
+    trace-log tail, the video frame-stage breakdown, the hardware
+    profile and the SLO verdicts are printed; the verdicts are
+    published back into the registry (a ``--metrics-output`` file is
+    rewritten to carry them).
     """
-    from repro.obs import summarize_spans, trace_log
-    from repro.obs.traces import (
-        assemble_traces,
-        export_chrome_trace,
-        frame_stage_breakdown,
-    )
+    from repro.obs import get_registry, hwcounters, slo, summarize_spans
+    from repro.obs.traces import export_chrome_trace
 
-    argv = list(argv)
-    export = None
-    while argv and argv[0] == "--export":
-        argv.pop(0)
-        if not argv:
-            print("trace: --export needs a value", file=sys.stderr)
-            return 2
-        export = argv.pop(0)
-    if not argv:
-        print(
-            "usage: python -m repro trace [--export PATH] <command> "
-            "[options]",
-            file=sys.stderr,
+    wrapper = argparse.ArgumentParser(
+        prog="python -m repro obs",
+        description="Run one command, then print its span timings, "
+        "hardware-counter profile and latency/energy SLO verdicts.",
+    )
+    wrapper.add_argument(
+        "--export", metavar="PATH",
+        help="write the run's per-request traces as Chrome trace-event JSON",
+    )
+    wrapper.add_argument(
+        "--objectives", metavar="PATH",
+        help="JSON list of SLO objectives (default: one latency and one "
+        "joules-per-request objective)",
+    )
+    wrapper.add_argument(
+        "--check", action="store_true",
+        help="exit 1 when any objective is violated",
+    )
+    wrapper.add_argument(
+        "--output", metavar="PATH",
+        help="write {command, exit_code, spans, profile, slo} as JSON",
+    )
+    wrapper.add_argument(
+        "--top", type=int, default=10, metavar="N",
+        help="rows in the hot-core table",
+    )
+    wrapper.add_argument(
+        "command", nargs=argparse.REMAINDER,
+        help="the command to run, with its options",
+    )
+    opts = wrapper.parse_args(argv)
+    if not opts.command:
+        wrapper.error("a command to run is required")
+    try:
+        objectives = (
+            slo.load_objectives(opts.objectives)
+            if opts.objectives
+            else slo.default_objectives()
         )
-        return 2
-    code = main(argv)
+    except (OSError, ValueError) as exc:
+        wrapper.error(str(exc))
+    args = _parser().parse_args(opts.command)
+    args.metrics = True
+
+    with hwcounters.collect(all_threads=True) as collector:
+        code = _run(args)
+
+    registry = get_registry()
     spans = summarize_spans()
+    _print_spans(spans)
+    profile = _profile(collector, registry, opts.top)
+    results = slo.evaluate_objectives(registry, objectives)
+    slo.publish_results(results, registry)
+    if args.metrics_output:
+        # The command wrote its exposition before the verdicts existed.
+        with open(args.metrics_output, "w") as handle:
+            handle.write(registry.render_prometheus())
+    report = slo.report_json(results)
+    slo.validate_report(report)
+    print("\n" + slo.format_report(results))
+    if opts.export:
+        events = export_chrome_trace(opts.export)
+        print(f"wrote Chrome trace ({events} trace events) to {opts.export}")
+    if opts.output:
+        document = {
+            "command": opts.command,
+            "exit_code": code,
+            "spans": spans,
+            "profile": profile,
+            "slo": report,
+        }
+        with open(opts.output, "w") as handle:
+            json.dump(document, handle, indent=2)
+            handle.write("\n")
+        print(f"wrote {opts.output}")
+    if opts.check and not report["met_all"] and code == 0:
+        print("FAIL: at least one objective violated", file=sys.stderr)
+        return 1
+    return code
+
+
+def _print_spans(spans) -> None:
+    """Print the span table, the trace-log tail and the frame stages."""
+    from repro.obs import trace_log
+    from repro.obs.traces import frame_stage_breakdown
+
     print("\n== span timings (process-wide registry) ==")
     if not spans:
         print("no spans recorded")
@@ -634,160 +705,31 @@ def _trace(argv) -> int:
                     f"mean={data['mean'] * 1e3:8.2f}ms "
                     f"p99={data['p99'] * 1e3:8.2f}ms"
                 )
-    if export:
-        traces = assemble_traces()
-        events = export_chrome_trace(export, traces)
-        print(
-            f"wrote {len(traces)} traces ({events} trace events) to {export}"
-        )
-    return code
 
 
-def _slo(argv) -> int:
-    """Run ``argv`` with metrics on, then judge the run against SLOs.
+def _profile(collector, registry, top_n: int) -> dict:
+    """Print and return the hardware profile of ``collector``'s runs.
 
-    The wrapped command is forced onto the process-wide registry
-    (``--metrics`` is appended when absent), then each declared
-    objective — latency and joules-per-request alike — is evaluated
-    from the run's histograms: compliance, error-budget burn rate, and
-    a met/violated verdict. The verdicts are published back into the
-    registry (``slo_burn_rate{slo=...}`` et al. — a ``--metrics-output``
-    exposition file is rewritten to include them), printed as a table,
-    and emitted as schema-validated JSON (``--output PATH`` writes it;
-    ``--objectives PATH`` loads custom objectives; ``--check`` exits
-    nonzero when any objective is violated).
-    """
-    from repro.obs import get_registry
-    from repro.obs.slo import (
-        default_objectives,
-        evaluate_objectives,
-        format_report,
-        load_objectives,
-        publish_results,
-        report_json,
-        validate_report,
-    )
-
-    argv = list(argv)
-    objectives_path, output, check = None, None, False
-    while argv and argv[0] in ("--objectives", "--output", "--check"):
-        flag = argv.pop(0)
-        if flag == "--check":
-            check = True
-            continue
-        if not argv:
-            print(f"slo: {flag} needs a value", file=sys.stderr)
-            return 2
-        if flag == "--objectives":
-            objectives_path = argv.pop(0)
-        else:
-            output = argv.pop(0)
-    if not argv:
-        print(
-            "usage: python -m repro slo [--objectives PATH] [--output PATH] "
-            "[--check] <command> [options]",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        objectives = (
-            load_objectives(objectives_path)
-            if objectives_path
-            else default_objectives()
-        )
-    except (OSError, ValueError) as exc:
-        print(f"slo: {exc}", file=sys.stderr)
-        return 2
-    if "--metrics" not in argv and "--metrics-output" not in argv:
-        argv.append("--metrics")
-
-    code = main(argv)
-
-    registry = get_registry()
-    results = evaluate_objectives(registry, objectives)
-    publish_results(results, registry)
-    if "--metrics-output" in argv:
-        # The wrapped command wrote its exposition before the verdicts
-        # existed; rewrite it so the scraped file carries the
-        # slo_burn_rate / slo_*_total series alongside the run metrics.
-        index = argv.index("--metrics-output") + 1
-        if index < len(argv):
-            try:
-                with open(argv[index], "w") as handle:
-                    handle.write(registry.render_prometheus())
-            except OSError as exc:
-                print(f"slo: could not rewrite {argv[index]}: {exc}",
-                      file=sys.stderr)
-    report = report_json(results)
-    validate_report(report)
-    print("\n" + format_report(results))
-    if output:
-        with open(output, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote SLO report to {output}")
-    else:
-        print(json.dumps(report, indent=2))
-    if check and not report["met_all"] and code == 0:
-        print("FAIL: at least one objective violated", file=sys.stderr)
-        return 1
-    return code
-
-
-def _profile(argv) -> int:
-    """Run ``argv`` inside a hw-counter scope, then emit the profile.
-
-    The profile JSON carries the whole-run hardware counters, the
-    attributed energy (via ``repro.truenorth.energy``), and the top-N
-    hot-core table; the per-core rollup is also published as labeled
+    The per-core rollup is also published as labeled
     ``hw_core_spikes_total{core="..."}`` registry counters.
     """
-    from repro.obs import get_registry, hwcounters
-
-    argv = list(argv)
-    output, top_n = None, 10
-    while argv and argv[0] in ("--output", "--top"):
-        flag = argv.pop(0)
-        if not argv:
-            print(f"profile: {flag} needs a value", file=sys.stderr)
-            return 2
-        if flag == "--output":
-            output = argv.pop(0)
-        else:
-            top_n = int(argv.pop(0))
-    if not argv:
-        print(
-            "usage: python -m repro profile [--output PATH] [--top N] "
-            "<command> [options]",
-            file=sys.stderr,
-        )
-        return 2
-
-    with hwcounters.collect() as collector:
-        code = main(argv)
-
     totals = collector.totals()
-    registry = get_registry()
-    top_cores = []
-    if collector.runs:
-        ranked = sorted(
-            collector.core_totals().items(),
-            key=lambda kv: (-kv[1]["spikes"], -kv[1]["synaptic_events"], kv[0]),
-        )
-        for core_id, entry in ranked:
-            registry.counter(
-                "hw_core_spikes_total",
-                help="neuron firings per core (profile rollup)",
-                labels={"core": str(core_id)},
-            ).inc(entry["spikes"])
-            registry.counter(
-                "hw_core_synaptic_events_total",
-                help="synaptic events per core (profile rollup)",
-                labels={"core": str(core_id)},
-            ).inc(entry["synaptic_events"])
-        top_cores = [
-            {"core": core_id, **entry} for core_id, entry in ranked[:top_n]
-        ]
+    ranked = sorted(
+        collector.core_totals().items(),
+        key=lambda kv: (-kv[1]["spikes"], -kv[1]["synaptic_events"], kv[0]),
+    )
+    for core_id, entry in ranked:
+        registry.counter(
+            "hw_core_spikes_total",
+            help="neuron firings per core (profile rollup)",
+            labels={"core": str(core_id)},
+        ).inc(entry["spikes"])
+        registry.counter(
+            "hw_core_synaptic_events_total",
+            help="synaptic events per core (profile rollup)",
+            labels={"core": str(core_id)},
+        ).inc(entry["synaptic_events"])
+    top_cores = [{"core": core_id, **entry} for core_id, entry in ranked[:top_n]]
 
     lane_energy = collector.lane_energy_joules()
     total_joules = float(lane_energy.sum())
@@ -806,17 +748,7 @@ def _profile(argv) -> int:
             total_joules / (totals["lane_ticks"] * TICK_SECONDS) * 1e3
         )
 
-    profile = {
-        "command": argv,
-        "exit_code": code,
-        "runs": len(collector.runs),
-        "lanes": collector.lanes,
-        "hw": totals,
-        "energy": energy,
-        "top_cores": top_cores,
-    }
-
-    print("\n== hardware-counter profile ==")
+    print("== hardware-counter profile ==")
     if not collector.runs:
         print("no engine runs recorded (software-only command?)")
     for name in ("spikes", "synaptic_events", "membrane_updates",
@@ -835,14 +767,13 @@ def _profile(argv) -> int:
         for row in top_cores:
             print(f"{row['core']:>8d} {row['spikes']:>12,d} "
                   f"{row['synaptic_events']:>12,d}")
-    if output:
-        with open(output, "w") as handle:
-            json.dump(profile, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote profile to {output}")
-    else:
-        print(json.dumps(profile, indent=2))
-    return code
+    return {
+        "runs": len(collector.runs),
+        "lanes": collector.lanes,
+        "hw": totals,
+        "energy": energy,
+        "top_cores": top_cores,
+    }
 
 
 if __name__ == "__main__":

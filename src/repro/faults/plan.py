@@ -300,11 +300,6 @@ class FaultPlan:
         """Whether any event-level (per-spike) fault is present."""
         return any(isinstance(s, DYNAMIC_SPECS) for s in self.faults)
 
-    @property
-    def is_static(self) -> bool:
-        """Whether every fault is chip-level (lane-independent)."""
-        return not self.has_dynamic
-
     def digest(self) -> str:
         """Stable hex digest of the plan (specs + seed).
 

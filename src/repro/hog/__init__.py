@@ -5,7 +5,7 @@ paper:
 
 - the **reference** Dalal-Triggs HoG: 9 unsigned orientation bins,
   magnitude-weighted voting with bilinear interpolation, L2 block
-  normalisation (:func:`reference_config`);
+  normalisation (:func:`dalal_triggs_config`);
 - the **FPGA** HoG of Advani et al.: the same 9-bin weighted voting
   evaluated in 16-bit fixed point with an alpha-max-beta-min magnitude
   and LUT-based angle binning (:mod:`repro.hog.fpga`);
@@ -24,7 +24,6 @@ from repro.hog.descriptor import (
     HogDescriptor,
     dalal_triggs_config,
     napprox_fp_config,
-    reference_config,
 )
 from repro.hog.gradients import compute_gradients
 from repro.hog.cells import cell_histograms
@@ -41,5 +40,4 @@ __all__ = [
     "dalal_triggs_config",
     "napprox_fp_config",
     "normalize_blocks",
-    "reference_config",
 ]

@@ -55,11 +55,6 @@ def dalal_triggs_config() -> HogConfig:
     return HogConfig()
 
 
-def reference_config() -> HogConfig:
-    """Alias of :func:`dalal_triggs_config`; the software baseline."""
-    return dalal_triggs_config()
-
-
 def napprox_fp_config(normalization: str = "l2") -> HogConfig:
     """NApprox(fp): 18 signed bins, count voting, aliasing ignored.
 
@@ -138,5 +133,4 @@ __all__ = [
     "HogDescriptor",
     "dalal_triggs_config",
     "napprox_fp_config",
-    "reference_config",
 ]

@@ -24,7 +24,7 @@ Quick start::
 
 from repro.obs import hwcounters, ids, slo, traces
 from repro.obs.hwcounters import ActivityCollector, RunActivity, record_run
-from repro.obs.ids import configure_namespace, id_namespace, new_span_id, new_trace_id
+from repro.obs.ids import configure_namespace, new_span_id, new_trace_id
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     DROPPED_SERIES_COUNTER,
@@ -95,7 +95,6 @@ __all__ = [
     "event",
     "get_registry",
     "hwcounters",
-    "id_namespace",
     "ids",
     "naming_violations",
     "new_span_id",

@@ -22,8 +22,10 @@ so the two engines agree **bit for bit** on identical seeds:
 Runs land in the process registry as ``hw_*_total`` counters and in any
 :func:`collect` scope open on the recording thread, which is how the
 serving layer attributes energy to individual requests: wrap the model
-call in ``collect()``, concatenate the per-lane columns, and feed them
-through :func:`repro.truenorth.energy.activity_energy_joules`.
+call in ``collect()`` and read the collector's per-lane energy. A
+``collect(all_threads=True)`` scope sees runs recorded on every thread,
+which is how ``python -m repro obs`` profiles a command whose engines
+run on the service's dispatch threads.
 
 Telemetry can be globally disabled with :func:`configure`; a disabled
 engine skips the per-tick accumulation entirely, which is the baseline
@@ -34,7 +36,7 @@ measured against.
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -234,14 +236,6 @@ class RunActivity:
             self.spikes, self.synaptic_events, self.ticks, self.n_cores
         )
 
-    def lane_power_watts(self) -> np.ndarray:
-        """Per-lane sustained power over the run's wall-tick duration."""
-        from repro.truenorth.power import TICK_SECONDS
-
-        if self.ticks <= 0:
-            raise ValueError("the run must cover at least one tick")
-        return self.lane_energy_joules() / (self.ticks * TICK_SECONDS)
-
     def top_cores(self, n: int = 10) -> List[Dict[str, int]]:
         """The ``n`` hottest cores by spikes (lane sums), descending.
 
@@ -289,17 +283,6 @@ class ActivityCollector:
         """Total lanes recorded across all runs."""
         return sum(a.batch for a in self.runs)
 
-    def lane_values(self, name: str) -> np.ndarray:
-        """Per-lane column ``name`` concatenated across runs."""
-        if name not in _LANE_FIELDS and name not in (
-            "membrane_updates",
-            "intra_chip_hops",
-        ):
-            raise ValueError(f"unknown lane field {name!r}")
-        if not self.runs:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([getattr(a, name) for a in self.runs])
-
     def lane_energy_joules(self) -> np.ndarray:
         """Per-lane energy concatenated across runs."""
         if not self.runs:
@@ -334,6 +317,7 @@ class ActivityCollector:
 
 _local = threading.local()
 _enabled = True
+_all_threads: List[ActivityCollector] = []
 
 
 def configure(enabled: bool) -> None:
@@ -355,14 +339,16 @@ def _collector_stack() -> List[ActivityCollector]:
 
 
 @contextmanager
-def collect() -> Iterator[ActivityCollector]:
+def collect(all_threads: bool = False) -> Iterator[ActivityCollector]:
     """Collect every run recorded on this thread inside the block.
 
     Scopes nest: an inner ``collect()`` sees only its own runs, while
     the enclosing scope sees both (each recorded run is delivered to
-    every collector open on the recording thread).
+    every collector open on the recording thread). With
+    ``all_threads=True`` the scope also sees runs recorded on any other
+    thread while it is open.
     """
-    stack = _collector_stack()
+    stack = _all_threads if all_threads else _collector_stack()
     collector = ActivityCollector()
     stack.append(collector)
     try:
@@ -375,8 +361,8 @@ def record_run(activity: RunActivity) -> None:
     """Publish one run's ledger (called by both engines post-run).
 
     Bumps the ``hw_*_total`` registry counters and hands the ledger to
-    every :func:`collect` scope open on this thread. A no-op while
-    telemetry is disabled.
+    every :func:`collect` scope open on this thread and every
+    ``all_threads`` scope. A no-op while telemetry is disabled.
     """
     if not _enabled:
         return
@@ -396,6 +382,9 @@ def record_run(activity: RunActivity) -> None:
         registry.counter(name, help=HW_COUNTER_HELP[name]).inc(totals[key])
     for collector in _collector_stack():
         collector.record(activity)
+    if _all_threads:
+        for collector in tuple(_all_threads):
+            collector.record(activity)
 
 
 __all__ = [

@@ -51,12 +51,6 @@ def configure_namespace(namespace: Optional[str]) -> None:
         _namespace = namespace
 
 
-def id_namespace() -> Optional[str]:
-    """The process's current id namespace (``None`` in the parent)."""
-    with _lock:
-        return _namespace
-
-
 def _mint(n: int) -> List[str]:
     """``n`` fresh ids drawn from one ``os.urandom`` call."""
     with _lock:
@@ -95,7 +89,6 @@ def new_span_id() -> str:
 __all__ = [
     "NAMESPACED_HEX_DIGITS",
     "configure_namespace",
-    "id_namespace",
     "new_span_id",
     "new_trace_id",
     "new_trace_ids",

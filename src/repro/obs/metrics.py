@@ -65,33 +65,19 @@ def escape_label_value(value: str) -> str:
     )
 
 
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
+
+
 def unescape_label_value(value: str) -> str:
     """The inverse of :func:`escape_label_value`.
 
     Unknown escape sequences are preserved verbatim (backslash and all),
     matching the Prometheus text-format reference parser.
     """
-    out: List[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-            if nxt == '"':
-                out.append('"')
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(
+        lambda match: _UNESCAPES.get(match.group(1), match.group(0)), value
+    )
 
 
 def normalize_labels(labels) -> Tuple[Tuple[str, str], ...]:
@@ -148,23 +134,11 @@ def parse_sample_name(sample: str) -> Tuple[str, Dict[str, str]]:
             raise ValueError(f"malformed labels in sample: {sample!r}")
         key = body[i:eq]
         j = eq + 2
-        buf: List[str] = []
-        terminated = False
-        while j < n:
-            ch = body[j]
-            if ch == "\\" and j + 1 < n:
-                nxt = body[j + 1]
-                buf.append({"\\": "\\", '"': '"', "n": "\n"}.get(nxt, "\\" + nxt))
-                j += 2
-                continue
-            if ch == '"':
-                terminated = True
-                break
-            buf.append(ch)
-            j += 1
-        if not terminated:
+        while j < n and body[j] != '"':
+            j += 2 if body[j] == "\\" else 1
+        if j >= n:
             raise ValueError(f"unterminated label value in sample: {sample!r}")
-        labels[key] = "".join(buf)
+        labels[key] = unescape_label_value(body[eq + 2 : j])
         i = j + 1
         if i < n:
             if body[i] != ",":

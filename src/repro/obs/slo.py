@@ -24,9 +24,10 @@ cumulative buckets and reports, per objective:
 :func:`publish_results` exports the verdicts back into the registry
 (``slo_requests_total`` / ``slo_bad_requests_total`` counters and the
 ``slo_burn_rate`` gauge, labeled by objective), and
-``python -m repro slo <cmd>`` evaluates objectives against a real
-serve or video run and emits the burn-rate report JSON that the CI
-``slo-smoke`` job validates via :func:`validate_report`.
+``python -m repro obs <cmd>`` evaluates objectives against a real
+serve or video run and emits the burn-rate report JSON (the ``slo``
+value of its ``--output`` document) that the CI ``slo-smoke`` job
+validates via :func:`validate_report`.
 """
 
 import json
@@ -162,7 +163,7 @@ class SLOResult:
 
 
 def default_objectives() -> Tuple[SLObjective, ...]:
-    """The stock objectives ``python -m repro slo`` evaluates.
+    """The stock objectives ``python -m repro obs`` evaluates.
 
     One latency objective and one joules-per-request objective over
     the histograms every serve run records; thresholds are sized for
@@ -324,7 +325,7 @@ def publish_results(
 
 
 def report_json(results: Sequence[SLOResult]) -> Dict:
-    """The full run report (the ``python -m repro slo`` output shape)."""
+    """The full run report (the ``slo`` value of ``obs --output``)."""
     return {
         "schema": REPORT_SCHEMA,
         "objectives": [result.to_json() for result in results],

@@ -20,7 +20,7 @@ Inside a trace the spans form a tree over ``span_id``/``parent_id``
 is the parent process's dispatch span), which :func:`to_chrome_trace`
 exports as Chrome trace-event JSON — load it in ``chrome://tracing``
 or Perfetto to see every request's life across the fleet on one
-timeline. ``python -m repro trace <cmd> --export PATH`` writes it.
+timeline. ``python -m repro obs --export PATH <cmd>`` writes it.
 
 :func:`frame_stage_breakdown` is the video-pipeline view: per-stage
 (extract / pool / serve / nms) latency summaries per pyramid level,
@@ -61,51 +61,6 @@ class RequestTrace:
     def events(self) -> List[SpanRecord]:
         """The trace's lifecycle events, in arrival order."""
         return [record for _, record in self.records if record.instant]
-
-    @property
-    def pids(self) -> Tuple[int, ...]:
-        """Distinct process ids the trace's records ran in, sorted."""
-        return tuple(sorted({record.pid for _, record in self.records}))
-
-    def children_of(self, span_id: str) -> List[SpanRecord]:
-        """Spans naming ``span_id`` as their parent."""
-        return [
-            record
-            for record in self.spans
-            if span_id and record.parent_id == span_id
-        ]
-
-    def roots(self) -> List[SpanRecord]:
-        """Spans whose parent is absent from this trace (tree roots)."""
-        spans = self.spans
-        known = {record.span_id for record in spans if record.span_id}
-        return [
-            record
-            for record in spans
-            if not record.parent_id or record.parent_id not in known
-        ]
-
-    def span_tree(self) -> List[Dict]:
-        """The span forest as nested JSON-ready dicts.
-
-        Each node carries the span's identity and timing plus its
-        ``children`` — the shape ``python -m repro trace`` prints and
-        tests assert the cross-process parent/child edge on.
-        """
-
-        def node(record: SpanRecord) -> Dict:
-            return {
-                "name": record.name,
-                "span_id": record.span_id,
-                "parent_id": record.parent_id,
-                "pid": record.pid,
-                "duration_s": record.duration_s,
-                "children": [
-                    node(child) for child in self.children_of(record.span_id)
-                ],
-            }
-
-        return [node(record) for record in self.roots()]
 
 
 def assemble_traces(
@@ -273,7 +228,7 @@ def frame_stage_breakdown(
     series the pipeline recorded and returns
     ``{stage: {level: {count, sum, mean, p50, p99, max}}}`` — the
     extract / pool / serve / nms split per pyramid level that
-    ``python -m repro trace video ...`` prints.
+    ``python -m repro obs video ...`` prints.
     """
     reg = registry if registry is not None else get_registry()
     out: Dict[str, Dict[str, Dict]] = {}

@@ -9,7 +9,7 @@ one-target-per-neuron rule.
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -71,11 +71,6 @@ class Router:
             )
         self._routes[key] = route
         self._by_src_core[route.src_core].append(route)
-
-    def add_routes(self, routes: Iterable[Route]) -> None:
-        """Register many routes."""
-        for route in routes:
-            self.add_route(route)
 
     @property
     def routes(self) -> Tuple[Route, ...]:

@@ -36,40 +36,6 @@ def resolve_rng(rng: RngLike = None) -> np.random.Generator:
     )
 
 
-def spawn_rng(rng: RngLike, index: int) -> np.random.Generator:
-    """Derive an independent child generator from ``rng``.
-
-    Useful when a parent experiment fans out into parallel sub-experiments
-    that must not share a random stream. Children are derived through
-    :class:`numpy.random.SeedSequence` spawn keys, so distinct indices can
-    never collide (the previous arithmetic derivation could alias two
-    children whose parent draws happened to differ by a multiple of the
-    index stride).
-
-    Args:
-        rng: parent seed/generator specification. Passing a ``Generator``
-            consumes one draw of its state (documented side effect).
-        index: child index; distinct indices give independent streams.
-
-    Returns:
-        A generator seeded from the parent entropy and ``index``.
-    """
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
-    if isinstance(rng, np.random.Generator):
-        entropy = int(rng.integers(0, 2**63))
-    elif rng is None:
-        entropy = None
-    elif isinstance(rng, (int, np.integer)):
-        entropy = int(rng)
-    else:
-        raise TypeError(
-            f"rng must be None, an int seed, or a numpy Generator, got {type(rng)!r}"
-        )
-    sequence = np.random.SeedSequence(entropy, spawn_key=(int(index),))
-    return np.random.default_rng(sequence)
-
-
 def spawn_generators(rng: RngLike, n: int) -> List[np.random.Generator]:
     """``n`` independent generators, reproducibly derived from ``rng``.
 
@@ -105,4 +71,4 @@ def spawn_generators(rng: RngLike, n: int) -> List[np.random.Generator]:
     return [np.random.default_rng(child) for child in sequence.spawn(n)]
 
 
-__all__ = ["RngLike", "resolve_rng", "spawn_generators", "spawn_rng"]
+__all__ = ["RngLike", "resolve_rng", "spawn_generators"]

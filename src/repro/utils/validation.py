@@ -1,6 +1,6 @@
 """Small argument-validation helpers with uniform error messages."""
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -29,10 +29,4 @@ def check_shape(name: str, array: np.ndarray, shape: Tuple[int, ...]) -> None:
         raise ValueError(f"{name} must have shape {shape}, got {actual}")
 
 
-def check_choice(name: str, value: str, choices: Sequence[str]) -> None:
-    """Raise :class:`ValueError` unless ``value`` is one of ``choices``."""
-    if value not in choices:
-        raise ValueError(f"{name} must be one of {sorted(choices)}, got {value!r}")
-
-
-__all__ = ["check_choice", "check_in_range", "check_positive", "check_shape"]
+__all__ = ["check_in_range", "check_positive", "check_shape"]

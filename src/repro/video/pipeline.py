@@ -226,10 +226,8 @@ def pool_feature_rows(
 ) -> np.ndarray:
     """Reduce raw window rows to the deployable pooled feature width.
 
-    The same reduction as the fault sweep's ``pooled_window_features``
-    — orientation bins summed in groups of ``bin_merge``, then cells
-    average-pooled — but vectorised over already-swept window rows so
-    the streaming pipeline pools a whole pyramid level at once. The
+    Orientation bins summed in groups of ``bin_merge``, then cells
+    average-pooled, vectorised over already-swept window rows. The
     defaults turn a ``(16, 8, 18)`` window grid into ``4 * 4 * 6 = 96``
     features, fitting the 128-input deployment budget of
     :func:`~repro.eedn.mapping.deploy_dense_network`.
@@ -260,7 +258,7 @@ def pool_feature_rows(
         .reshape(n, ny, py, nx, px, grid.shape[3])
         .mean(axis=(2, 4))
     )
-    return pooled.reshape(n, -1)
+    return pooled.reshape(n, ny * nx * grid.shape[3])
 
 
 def pooled_window_rows(

@@ -11,11 +11,13 @@ LRU cache is sound and both engines score bit-identically.
 Training features are computed through the *same* code path the
 streaming pipeline uses at inference time
 (:func:`~repro.video.pipeline.pooled_window_rows`), so the train and
-serve distributions match by construction.
+serve distributions match by construction. The fault sweep
+(:mod:`repro.experiments.faults_sweep`) pools and calibrates its
+features with the same two helpers.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,8 +29,12 @@ from repro.eedn.train import TrainConfig, train_network
 from repro.utils.rng import RngLike, resolve_rng
 from repro.video.pipeline import pooled_window_rows
 
-#: The pooled-count quantile mapped to this firing probability (same
-#: calibration contract as the fault sweep's ``calibrated_scale``).
+#: Calibration target: the 95th percentile of the *training* pooled
+#: counts is mapped to this firing probability. Extractor outputs span
+#: orders of magnitude (NApprox cell counts average ~3.6, a
+#: small-budget parrot's ~0.02), and content coding clips features to
+#: [0, 1] per-tick firing probabilities — without calibration one
+#: extractor's features saturate while the other's never spike.
 FEATURE_TARGET = 0.8
 
 
@@ -71,7 +77,8 @@ def calibrated_feature_scale(
     """Scale mapping pooled training counts into [0, 1] features.
 
     Args:
-        train_counts: pooled counts of the training windows only.
+        train_counts: pooled counts of the training windows only (the
+            calibration must not see evaluation data).
         target: firing probability assigned to the counts' 95th
             percentile (counts above it saturate at the coder's clip).
 
@@ -84,20 +91,37 @@ def calibrated_feature_scale(
     return target / reference
 
 
-def _window_rows(
+def pooled_window_features(
     extractor,
     windows: np.ndarray,
-    window_cells: Tuple[int, int],
-    pool: Tuple[int, int],
-    bin_merge: int,
+    pool: Tuple[int, int] = (4, 2),
+    bin_merge: int = 3,
 ) -> np.ndarray:
-    """Pooled rows of full training windows via the serving code path."""
+    """Pooled cell-count rows of whole window images.
+
+    Each window's cell grid is pooled as one detection window by
+    :func:`~repro.video.pipeline.pooled_window_rows`: orientation bins
+    summed in groups of ``bin_merge``, then cells average-pooled. The
+    defaults turn a ``(16, 8, 18)`` cell grid into ``4 * 4 * 6 = 96``
+    features, fitting the 128-input deployment budget of
+    :func:`~repro.eedn.mapping.deploy_dense_network`.
+
+    Args:
+        extractor: any descriptor exposing ``cell_grid(image)``.
+        windows: ``(n, 128, 64)`` window stack.
+        pool: cells averaged per pooled feature, ``(y, x)``.
+        bin_merge: adjacent orientation bins summed per merged bin
+            (must divide the extractor's bin count).
+
+    Returns:
+        ``(n, pooled_cells * merged_bins)`` pooled counts, unscaled (see
+        :func:`calibrated_feature_scale`).
+    """
     rows = []
     for window in windows:
         grid = np.asarray(extractor.cell_grid(window), dtype=np.float64)
-        pooled, _ = pooled_window_rows(grid, window_cells, pool, bin_merge)
-        rows.append(pooled[0])
-    return np.stack(rows)
+        rows.append(pooled_window_rows(grid, grid.shape[:2], pool, bin_merge)[0])
+    return np.concatenate(rows)
 
 
 def build_video_workload(
@@ -135,15 +159,12 @@ def build_video_workload(
         extractor = NApproxDescriptor(
             NApproxConfig(quantized=True, window=64, normalization="none")
         )
-    config = extractor.config
-    cell_size = int(config.cell_size)
-    window_cells = (128 // cell_size, 64 // cell_size)
 
     dataset = SyntheticPersonDataset(rng=int(master.integers(0, 2**31 - 1)))
     pos = dataset.positive_windows(n_train)
     neg = dataset.negative_windows(n_train)
-    pos_rows = _window_rows(extractor, pos, window_cells, pool, bin_merge)
-    neg_rows = _window_rows(extractor, neg, window_cells, pool, bin_merge)
+    pos_rows = pooled_window_features(extractor, pos, pool, bin_merge)
+    neg_rows = pooled_window_features(extractor, neg, pool, bin_merge)
     scale = calibrated_feature_scale(np.vstack([pos_rows, neg_rows]))
 
     features = np.clip(np.vstack([pos_rows, neg_rows]) * scale, 0.0, 1.0)
@@ -179,4 +200,5 @@ __all__ = [
     "VideoWorkload",
     "build_video_workload",
     "calibrated_feature_scale",
+    "pooled_window_features",
 ]

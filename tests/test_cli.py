@@ -90,6 +90,8 @@ class TestCli:
 
 
 class TestTraceCommand:
+    """``obs`` spans and Chrome trace export (formerly ``trace``)."""
+
     def test_trace_export_writes_valid_chrome_trace(self, capsys, tmp_path):
         from repro.obs import trace_log
         from repro.obs.traces import validate_chrome_trace
@@ -97,29 +99,72 @@ class TestTraceCommand:
         trace_log().clear()
         export = tmp_path / "trace.json"
         assert main([
-            "trace", "--export", str(export),
+            "obs", "--export", str(export),
             "serve", "--requests", "12", "--concurrency", "2",
             "--chunk-size", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "span timings" in out
-        assert f"wrote" in out and str(export) in out
+        assert "wrote" in out and str(export) in out
         document = json.loads(export.read_text())
         validate_chrome_trace(document)
         assert any(e["ph"] == "X" for e in document["traceEvents"])
 
     def test_trace_export_needs_a_value(self, capsys):
-        assert main(["trace", "--export"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "--export"])
+        assert excinfo.value.code == 2
 
     def test_trace_without_command_is_usage_error(self, capsys):
-        assert main(["trace"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("verb", ["trace", "profile", "slo"])
+    def test_old_wrapper_verbs_are_rejected(self, capsys, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "serve"])
+        assert excinfo.value.code == 2
+
+
+class TestProfileCommand:
+    def test_profile_sees_engine_runs_on_every_thread(self, capsys, tmp_path):
+        """The serve lanes run the engine on their dispatch threads; the
+        profile must count those runs exactly as the registry does."""
+        from repro.obs import get_registry
+
+        registry = get_registry()
+        names = ("hw_spikes_total", "hw_synaptic_events_total")
+        before = [registry.counter(name).value for name in names]
+        output = tmp_path / "obs.json"
+        assert main([
+            "obs", "--output", str(output), "--top", "3",
+            "serve", "--requests", "16", "--concurrency", "2",
+            "--chunk-size", "2",
+        ]) == 0
+        deltas = [
+            registry.counter(name).value - start
+            for name, start in zip(names, before)
+        ]
+        document = json.loads(output.read_text())
+        assert document["exit_code"] == 0
+        assert document["command"][0] == "serve"
+        profile = document["profile"]
+        assert profile["runs"] > 0 and profile["lanes"] > 0
+        assert deltas[0] > 0 and deltas[1] > 0
+        assert profile["hw"]["spikes"] == deltas[0]
+        assert profile["hw"]["synaptic_events"] == deltas[1]
+        assert 0 < len(profile["top_cores"]) <= 3
+        assert profile["energy"]["total_joules"] > 0
 
 
 class TestSloCommand:
+    """``obs`` SLO verdicts (formerly ``slo``)."""
+
     def test_slo_evaluates_a_real_serve_run(self, capsys, tmp_path):
-        output = tmp_path / "slo.json"
+        output = tmp_path / "obs.json"
         assert main([
-            "slo", "--output", str(output),
+            "obs", "--output", str(output),
             "serve", "--requests", "16", "--concurrency", "2",
             "--chunk-size", "2",
         ]) == 0
@@ -129,7 +174,7 @@ class TestSloCommand:
         assert "serve_energy_per_request" in out
         from repro.obs.slo import validate_report
 
-        report = json.loads(output.read_text())
+        report = json.loads(output.read_text())["slo"]
         validate_report(report)
         signals = {o["objective"]["signal"] for o in report["objectives"]}
         assert signals == {"latency", "energy"}
@@ -139,7 +184,7 @@ class TestSloCommand:
         from repro.obs import get_registry
 
         assert main([
-            "slo", "serve", "--requests", "8", "--concurrency", "2",
+            "obs", "serve", "--requests", "8", "--concurrency", "2",
             "--chunk-size", "2",
         ]) == 0
         exposition = get_registry().render_prometheus()
@@ -154,7 +199,7 @@ class TestSloCommand:
         CI slo-smoke job reads) carries the burn-rate series."""
         prom = tmp_path / "metrics.prom"
         assert main([
-            "slo", "serve", "--requests", "8", "--concurrency", "2",
+            "obs", "serve", "--requests", "8", "--concurrency", "2",
             "--chunk-size", "2", "--metrics-output", str(prom),
         ]) == 0
         exposition = prom.read_text()
@@ -173,7 +218,7 @@ class TestSloCommand:
             }
         ]))
         code = main([
-            "slo", "--objectives", str(objectives), "--check",
+            "obs", "--objectives", str(objectives), "--check",
             "serve", "--requests", "8", "--concurrency", "2",
             "--chunk-size", "2",
         ])
@@ -183,8 +228,12 @@ class TestSloCommand:
         assert "objective violated" in out.err
 
     def test_slo_without_command_is_usage_error(self, capsys):
-        assert main(["slo"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "--check"])
+        assert excinfo.value.code == 2
 
     def test_slo_bad_objectives_file_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "none.json"
-        assert main(["slo", "--objectives", str(missing), "serve"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "--objectives", str(missing), "serve"])
+        assert excinfo.value.code == 2

@@ -67,7 +67,6 @@ class TestPlanValidation:
         assert FaultPlan((DroppedSpikes(0.1),)).has_dynamic
         assert FaultPlan((DuplicatedSpikes(0.1),)).has_dynamic
         assert not FaultPlan((ThresholdDrift(1.0),)).has_dynamic
-        assert FaultPlan((ThresholdDrift(1.0),)).is_static
 
 
 class TestDigest:

@@ -15,6 +15,7 @@ from repro.faults import (
     ThresholdDrift,
     WeightBitFlips,
 )
+from repro.video.workload import FEATURE_TARGET
 
 
 class TestBuildFaultPlan:
@@ -84,13 +85,13 @@ class TestFeatures:
 
     def test_calibrated_scale_targets_q95(self):
         counts = np.linspace(0.0, 10.0, 101)
-        scale = faults_sweep.calibrated_scale(counts)
+        scale = faults_sweep.calibrated_feature_scale(counts)
         assert np.quantile(counts * scale, 0.95) == pytest.approx(
-            faults_sweep.FEATURE_TARGET
+            FEATURE_TARGET
         )
 
     def test_calibrated_scale_of_zeros_is_identity(self):
-        assert faults_sweep.calibrated_scale(np.zeros(8)) == 1.0
+        assert faults_sweep.calibrated_feature_scale(np.zeros(8)) == 1.0
 
 
 class TestMonotoneCheck:

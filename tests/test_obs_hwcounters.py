@@ -8,6 +8,9 @@ contract: per-request energy of the Parrot 8x8-cell module agrees
 across engines.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -110,9 +113,6 @@ class TestRunActivity:
             + activity.synaptic_events * SYNAPTIC_EVENT_JOULES
         )
         np.testing.assert_allclose(activity.lane_energy_joules(), expected)
-        np.testing.assert_allclose(
-            activity.lane_power_watts(), expected / (6 * TICK_SECONDS)
-        )
 
     def test_top_cores_orders_by_spikes(self):
         activity = make_activity(batch=2, n_cores=2)
@@ -137,23 +137,74 @@ class TestCollector:
         assert len(outer.runs) == 2 and outer.lanes == 3
         assert len(inner.runs) == 1 and inner.lanes == 1
 
+    def test_all_threads_scope_sees_runs_on_other_threads(self):
+        """A thread-local scope sees only its own thread's runs, while an
+        ``all_threads`` scope sees every thread's (the ``obs`` profile of
+        a serve run, whose engines run on dispatch threads)."""
+        local = {}
+
+        def worker():
+            with hwcounters.collect() as scope:
+                hwcounters.record_run(make_activity(batch=2))
+            local["scope"] = scope
+
+        with hwcounters.collect(all_threads=True) as everywhere:
+            with hwcounters.collect() as here:
+                hwcounters.record_run(make_activity(batch=1))
+                thread = threading.Thread(target=worker)
+                thread.start()
+                thread.join()
+        assert everywhere.lanes == 3 and len(everywhere.runs) == 2
+        assert here.lanes == 1
+        assert local["scope"].lanes == 2
+        hwcounters.record_run(make_activity(batch=1))
+        assert everywhere.lanes == 3  # a closed scope records nothing
+
+    def test_all_threads_scope_loses_no_run_under_contention(self):
+        """Runs recorded from more threads than cores all reach an open
+        ``all_threads`` scope while scopes open and close around them."""
+        n_threads, runs_each = 8, 50
+        activity = make_activity(batch=1)
+        start = threading.Barrier(n_threads + 1)
+
+        def worker():
+            start.wait(timeout=10)
+            for _ in range(runs_each):
+                with hwcounters.collect(all_threads=True):
+                    hwcounters.record_run(activity)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with hwcounters.collect(all_threads=True) as everywhere:
+                threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                start.wait(timeout=10)
+                for thread in threads:
+                    thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(everywhere.runs) == n_threads * runs_each
+
     def test_lane_values_concatenate_across_runs(self):
         collector = ActivityCollector()
         collector.record(make_activity(batch=2, seed=1))
         collector.record(make_activity(batch=1, seed=2))
-        values = collector.lane_values("spikes")
-        assert values.shape == (3,)
-        assert collector.lane_energy_joules().shape == (3,)
-        assert collector.totals()["spikes"] == int(values.sum())
-
-    def test_lane_values_rejects_unknown_field(self):
-        with pytest.raises(ValueError, match="lane field"):
-            ActivityCollector().lane_values("watts")
+        energy = collector.lane_energy_joules()
+        assert energy.shape == (3,)
+        np.testing.assert_array_equal(
+            energy,
+            np.concatenate([run.lane_energy_joules() for run in collector.runs]),
+        )
+        assert collector.totals()["spikes"] == sum(
+            int(run.spikes.sum()) for run in collector.runs
+        )
 
     def test_empty_collector(self):
         collector = ActivityCollector()
         assert collector.lanes == 0
-        assert collector.lane_values("spikes").size == 0
         assert collector.lane_energy_joules().size == 0
         assert collector.totals()["spikes"] == 0
         assert collector.core_totals() == {}

@@ -103,33 +103,6 @@ class TestAssembly:
         )
 
 
-class TestSpanTree:
-    def test_tree_follows_parent_ids_across_pids(self):
-        """The cross-process edge: a worker-pid span parented under a
-        dispatcher-pid span lands as its child in the tree."""
-        parent = _record(
-            "execute", span_id="sp", trace_ids=["t1"], pid=1000
-        )
-        child = _record(
-            "score", trace_id="t1", span_id="sc", parent_id="sp", pid=2000
-        )
-        (trace,) = assemble_traces(_stream(parent, child))
-        assert trace.pids == (1000, 2000)
-        (root,) = trace.roots()
-        assert root.name == "execute"
-        (tree,) = trace.span_tree()
-        assert tree["name"] == "execute" and tree["pid"] == 1000
-        (subtree,) = tree["children"]
-        assert subtree["name"] == "score" and subtree["pid"] == 2000
-
-    def test_orphans_become_roots(self):
-        orphan = _record(
-            "score", trace_id="t1", span_id="sc", parent_id="missing"
-        )
-        (trace,) = assemble_traces(_stream(orphan))
-        assert trace.roots() == [orphan]
-
-
 class TestChromeExport:
     def _trace(self):
         return RequestTrace(

@@ -514,7 +514,8 @@ class TestShardedTracing:
                 "serve.shard.execute",
                 "serve.shard.worker.score",
             } <= names
-            assert len(trace.pids) == 2  # parent + the scoring worker
+            # parent + the scoring worker
+            assert len({record.pid for _, record in trace.records}) == 2
             execute = next(
                 r for r in trace.spans if r.name == "serve.shard.execute"
             )
@@ -527,9 +528,6 @@ class TestShardedTracing:
             # worker ids are namespaced per shard; parent ids are bare
             assert score.span_id.split("-")[0] == f"s{score.attrs['shard']}"
             assert "-" not in execute.span_id
-            # the tree roots in the parent and nests the worker span
-            tree_names = {node["name"] for node in trace.span_tree()}
-            assert "serve.shard.worker.score" not in tree_names
         document = to_chrome_trace(traces)
         validate_chrome_trace(document)
 

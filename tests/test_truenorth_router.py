@@ -35,7 +35,8 @@ class TestFanOutRule:
 
     def test_distinct_neurons_ok(self):
         router = Router()
-        router.add_routes([Route(0, 5, 1, 3), Route(0, 6, 1, 4)])
+        router.add_route(Route(0, 5, 1, 3))
+        router.add_route(Route(0, 6, 1, 4))
         assert len(router.routes) == 2
 
 

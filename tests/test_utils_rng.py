@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import resolve_rng, spawn_generators, spawn_rng
+from repro.utils.rng import resolve_rng, spawn_generators
 
 
 class TestResolveRng:
@@ -35,33 +35,6 @@ class TestResolveRng:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             resolve_rng(1.5)
-
-
-class TestSpawnRng:
-    def test_children_are_independent(self):
-        a = spawn_rng(0, 0).integers(0, 10**9, 5)
-        b = spawn_rng(0, 1).integers(0, 10**9, 5)
-        assert not np.array_equal(a, b)
-
-    def test_spawn_is_reproducible(self):
-        a = spawn_rng(3, 2).integers(0, 10**9, 5)
-        b = spawn_rng(3, 2).integers(0, 10**9, 5)
-        assert np.array_equal(a, b)
-
-    def test_distinct_indices_never_collide(self):
-        # The old arithmetic derivation could alias children; SeedSequence
-        # spawn keys cannot. Draw from many children of one seed.
-        draws = [spawn_rng(5, index).integers(0, 10**12, 4) for index in range(64)]
-        unique = {tuple(d) for d in draws}
-        assert len(unique) == len(draws)
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            spawn_rng(0, -1)
-
-    def test_rejects_bad_type(self):
-        with pytest.raises(TypeError):
-            spawn_rng(1.5, 0)
 
 
 class TestSpawnGenerators:

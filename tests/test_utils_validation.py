@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
-    check_choice,
     check_in_range,
     check_positive,
     check_shape,
@@ -48,12 +47,3 @@ class TestCheckShape:
     def test_extent_mismatch(self):
         with pytest.raises(ValueError):
             check_shape("a", np.zeros((2, 3)), (3, 3))
-
-
-class TestCheckChoice:
-    def test_accepts_member(self):
-        check_choice("mode", "l2", ["l2", "none"])
-
-    def test_rejects_nonmember(self):
-        with pytest.raises(ValueError, match="mode"):
-            check_choice("mode", "l3", ["l2", "none"])
