@@ -9,6 +9,14 @@ class ConfigurationError(ReproError):
     """An object was configured with invalid or inconsistent parameters."""
 
 
+class ResourceBudgetError(ReproError):
+    """A design exceeds its neuromorphic resource budget (cores, axons...)."""
+
+
+class TrainingError(ReproError):
+    """A training run failed in a way the caller must handle."""
+
+
 class CompilationError(ReproError):
     """A corelet tree could not be compiled onto neurosynaptic cores."""
 
@@ -77,9 +85,11 @@ __all__ = [
     "DeadlineExceededError",
     "QueueFullError",
     "ReproError",
+    "ResourceBudgetError",
     "RoutingError",
     "ServiceClosedError",
     "ServiceError",
+    "TrainingError",
     "TransientScorerError",
     "WorkerDiedError",
 ]
