@@ -22,19 +22,12 @@ The package implements, from scratch:
 - the power/throughput deployment model behind Table 2 (:mod:`repro.power`).
 """
 
-from repro.errors import (
-    ConfigurationError,
-    ReproError,
-    ResourceBudgetError,
-    TrainingError,
-)
+from repro.errors import ConfigurationError, ReproError
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ConfigurationError",
     "ReproError",
-    "ResourceBudgetError",
-    "TrainingError",
     "__version__",
 ]

@@ -30,7 +30,6 @@ from repro.detection.pipeline import (
     Detection,
     EednBinaryScorer,
     SlidingWindowDetector,
-    SpikingBinaryScorer,
     TrueNorthBinaryScorer,
     sliding_window_features,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "FULL_HD_CELL_GRIDS",
     "ImagePyramid",
     "SlidingWindowDetector",
-    "SpikingBinaryScorer",
     "TrueNorthBinaryScorer",
     "evaluate_detections",
     "full_hd_cell_count",

@@ -12,7 +12,6 @@ from repro.detection.pyramid import ImagePyramid
 from repro.eedn.layers import TrinaryDense
 from repro.eedn.mapping import deploy_dense_network
 from repro.eedn.network import EednNetwork
-from repro.eedn.spiking import SpikingEvaluator
 from repro.hog.blocks import normalize_blocks
 from repro.obs import get_registry, span
 from repro.truenorth.simulator import Simulator
@@ -99,30 +98,6 @@ class EednBinaryScorer:
         logits = self.network.forward(np.asarray(features, dtype=np.float64))
         negative = 1 - self.positive_class
         return logits[:, self.positive_class] - logits[:, negative]
-
-
-class SpikingBinaryScorer:
-    """Scorer running the Eedn classifier in spiking operation mode.
-
-    The score is the spike-count margin across the evaluation window,
-    matching how a deployed TrueNorth classifier would be read out.
-
-    Args:
-        evaluator: a configured :class:`~repro.eedn.spiking.SpikingEvaluator`.
-        positive_class: index of the "person" output.
-    """
-
-    def __init__(self, evaluator: SpikingEvaluator, positive_class: int = 1) -> None:
-        self.evaluator = evaluator
-        self.positive_class = positive_class
-
-    def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """Spike-count margins for a ``(n, f)`` feature matrix in [0, 1]."""
-        result = self.evaluator.evaluate(np.clip(features, 0.0, 1.0))
-        negative = 1 - self.positive_class
-        return (
-            result.counts[:, self.positive_class] - result.counts[:, negative]
-        ).astype(np.float64)
 
 
 class TrueNorthBinaryScorer:
@@ -520,7 +495,6 @@ __all__ = [
     "Detection",
     "EednBinaryScorer",
     "SlidingWindowDetector",
-    "SpikingBinaryScorer",
     "TrueNorthBinaryScorer",
     "sliding_window_features",
 ]

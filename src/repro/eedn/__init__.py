@@ -30,8 +30,8 @@ from repro.eedn.layers import (
 )
 from repro.eedn.network import EednNetwork
 from repro.eedn.train import TrainConfig, TrainResult, train_network
-from repro.eedn.losses import hinge_loss, softmax_cross_entropy
-from repro.eedn.grouping import group_channels, max_fan_in
+from repro.eedn.losses import softmax_cross_entropy
+from repro.eedn.grouping import group_channels
 from repro.eedn.mapping import core_count, deploy_dense_network
 from repro.eedn.spiking import SpikingEvaluator
 
@@ -46,8 +46,6 @@ __all__ = [
     "core_count",
     "deploy_dense_network",
     "group_channels",
-    "hinge_loss",
-    "max_fan_in",
     "softmax_cross_entropy",
     "train_network",
     "trinarize",

@@ -16,11 +16,6 @@ CROSSBAR_FAN_IN = 256
 """Maximum synapses per neuron on one neurosynaptic core."""
 
 
-def max_fan_in() -> int:
-    """The crossbar fan-in bound (256 axons per core)."""
-    return CROSSBAR_FAN_IN
-
-
 def group_channels(in_channels: int, ksize: int, limit: int = CROSSBAR_FAN_IN) -> int:
     """Smallest group count making a conv filter fit the crossbar.
 
@@ -78,4 +73,4 @@ def fan_in_violations(network: EednNetwork, limit: int = CROSSBAR_FAN_IN) -> Lis
     return problems
 
 
-__all__ = ["CROSSBAR_FAN_IN", "fan_in_violations", "group_channels", "max_fan_in"]
+__all__ = ["CROSSBAR_FAN_IN", "fan_in_violations", "group_channels"]

@@ -41,29 +41,4 @@ def softmax_cross_entropy(
     return loss, grad
 
 
-def hinge_loss(scores: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean binary hinge loss for +-1 labels on a single score column.
-
-    Args:
-        scores: ``(batch,)`` or ``(batch, 1)`` real-valued margins.
-        labels: ``(batch,)`` labels in {-1, +1}.
-
-    Returns:
-        ``(loss, grad)`` with ``grad`` shaped like ``scores``.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    squeeze = s.ndim == 2
-    flat = s.reshape(-1)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if flat.shape != y.shape:
-        raise ValueError(f"scores {flat.shape} and labels {y.shape} must match")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be in {-1, +1}")
-    margins = 1.0 - y * flat
-    active = margins > 0
-    loss = float(margins[active].sum() / flat.size) if active.any() else 0.0
-    grad = np.where(active, -y, 0.0) / flat.size
-    return loss, grad.reshape(s.shape) if squeeze else grad
-
-
-__all__ = ["hinge_loss", "softmax_cross_entropy"]
+__all__ = ["softmax_cross_entropy"]

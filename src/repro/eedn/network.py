@@ -51,10 +51,6 @@ class EednNetwork:
             for name, param in params.items():
                 yield index, name, param, grads[name]
 
-    def parameter_count(self) -> int:
-        """Total trainable parameter count."""
-        return sum(param.size for _, _, param, _ in self.parameters())
-
     def __repr__(self) -> str:
         names = ", ".join(type(layer).__name__ for layer in self.layers)
         return f"EednNetwork([{names}])"

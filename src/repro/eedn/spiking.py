@@ -164,30 +164,5 @@ class SpikingEvaluator:
             counts += activity.astype(np.int64)
         return SpikingResult(counts=counts, ticks=self.ticks)
 
-    def spike_rasters(self, values: np.ndarray) -> np.ndarray:
-        """Output spike raster ``(ticks, batch, n_out)`` for inspection."""
-        x = np.asarray(values, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        batch = x.shape[0]
-        draws = self._rng.random((self.ticks, batch, self.n_in))
-        raster_in = draws < x[None, :, :]
-        out = np.zeros((self.ticks, batch, self.n_out), dtype=bool)
-        last = len(self._stages) - 1
-        for tick in range(self.ticks):
-            activity = raster_in[tick].astype(np.float64)
-            for index, (weights, cutoff) in enumerate(self._stages):
-                z = activity @ weights
-                threshold = cutoff
-                if index == last and self.output_mode == "stochastic":
-                    threshold = cutoff + self._rng.integers(
-                        -self.stochastic_half_range,
-                        self.stochastic_half_range,
-                        size=z.shape,
-                    )
-                activity = (z >= threshold).astype(np.float64)
-            out[tick] = activity.astype(bool)
-        return out
-
 
 __all__ = ["SpikingEvaluator", "SpikingResult"]

@@ -1,6 +1,6 @@
 """Window descriptors: configuration plus the end-to-end HoG pipeline."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -80,10 +80,6 @@ class HogDescriptor:
 
     def __init__(self, config: HogConfig = HogConfig()) -> None:
         self.config = config
-
-    def with_normalization(self, method: str) -> "HogDescriptor":
-        """A copy of this descriptor with a different block normalisation."""
-        return HogDescriptor(replace(self.config, normalization=method))
 
     def cell_grid(self, image: np.ndarray) -> np.ndarray:
         """Per-cell histograms of shape ``(n_cells_y, n_cells_x, n_bins)``."""

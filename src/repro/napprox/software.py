@@ -14,7 +14,7 @@ zero votes (flat profile) — which is what lets the corelet-vs-software
 correlation of :mod:`repro.napprox.validation` approach 1.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -152,10 +152,6 @@ class NApproxDescriptor:
         # Shaped (18, 1, 1): each direction's factor broadcasts over its plane.
         self._plane_cos = cx.astype(self._plane_dtype)[:, None, None]
         self._plane_sin = cy.astype(self._plane_dtype)[:, None, None]
-
-    def with_normalization(self, method: str) -> "NApproxDescriptor":
-        """A copy of this descriptor with a different block normalisation."""
-        return NApproxDescriptor(replace(self.config, normalization=method))
 
     # ------------------------------------------------------------------
     def _vote_planes(self, image: np.ndarray, whole_cells: bool) -> np.ndarray:

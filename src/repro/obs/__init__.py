@@ -32,7 +32,6 @@ from repro.obs.metrics import (
     GaugeMetric,
     HistogramMetric,
     MetricsRegistry,
-    diff_states,
     escape_label_value,
     get_registry,
     naming_violations,
@@ -88,7 +87,6 @@ __all__ = [
     "current_span_id",
     "current_trace_id",
     "default_objectives",
-    "diff_states",
     "enabled",
     "escape_label_value",
     "evaluate_objectives",

@@ -653,9 +653,9 @@ class MetricsRegistry:
         list of ``[name, value]`` pairs), ``help``, and its raw payload:
         the counter/gauge ``value`` or the histogram's
         :meth:`HistogramMetric.export_state` under ``state``. This is
-        the wire format shard workers ship to the parent (after
-        :func:`diff_states` against the previous export) and the input
-        to :meth:`merge_state`.
+        the wire format shard workers ship to the parent (exported and
+        then :meth:`reset` after each reply, so each export is that
+        reply's delta) and the input to :meth:`merge_state`.
         """
         series: List[Dict] = []
         for _, metric in self._items():
@@ -679,7 +679,7 @@ class MetricsRegistry:
         return {"series": series}
 
     def merge_state(self, state: Dict, extra_labels=None) -> int:
-        """Fold an exported state (usually a delta) into this registry.
+        """Fold an exported state (usually one reply's) into this registry.
 
         Counters are incremented by the shipped value, gauges set to it,
         histograms merged bucket-by-bucket (bounds must match). When
@@ -764,7 +764,12 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
     def reset(self) -> None:
-        """Drop every registered metric (test isolation)."""
+        """Drop every registered metric.
+
+        Shard workers call it right after :meth:`export_state`, so each
+        export holds only what was recorded since the last; a metric
+        object kept across a reset is no longer in the registry.
+        """
         with self._lock:
             self._metrics.clear()
             self._kinds.clear()
@@ -802,83 +807,6 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
         previous = _default_registry
         _default_registry = registry
         return previous
-
-
-def _series_key(record: Dict) -> Tuple:
-    return (
-        record["kind"],
-        record["name"],
-        tuple(tuple(pair) for pair in record["labels"]),
-    )
-
-
-def diff_states(new: Dict, old: Dict) -> Dict:
-    """The delta that takes exported state ``old`` to ``new``.
-
-    Counters and histogram counts/sums/buckets subtract; series whose
-    delta is zero are omitted entirely, so repeated shipping of an idle
-    registry costs nothing. Gauges are not cumulative — a changed gauge
-    ships its *new absolute* value, an unchanged one is omitted. The
-    delta reservoir is the tail of the new reservoir (the most recent
-    ``count_delta`` observations), which is exact until the ring wraps
-    and a best-effort recent sample after that.
-
-    The result is itself a valid :meth:`MetricsRegistry.merge_state`
-    input: merging every delta in order reproduces merging the final
-    state once (histogram min/max ship as running values and fold
-    idempotently).
-    """
-    old_index = {_series_key(record): record for record in old["series"]}
-    series: List[Dict] = []
-    for record in new["series"]:
-        previous = old_index.get(_series_key(record))
-        kind = record["kind"]
-        if kind == "counter":
-            delta = record["value"] - (previous["value"] if previous else 0)
-            if delta:
-                series.append({**record, "value": delta})
-        elif kind == "gauge":
-            if previous is None or previous["value"] != record["value"]:
-                series.append(dict(record))
-        elif kind == "histogram":
-            state = record["state"]
-            prev_state = previous["state"] if previous else None
-            prev_count = prev_state["count"] if prev_state else 0
-            count_delta = state["count"] - prev_count
-            if not count_delta:
-                continue
-            if prev_state is None:
-                series.append(dict(record))
-                continue
-            reservoir = state["reservoir"]
-            delta_state = {
-                "bounds": list(state["bounds"]),
-                "bucket_counts": [
-                    now - before
-                    for now, before in zip(
-                        state["bucket_counts"], prev_state["bucket_counts"]
-                    )
-                ],
-                "count": count_delta,
-                "sum": state["sum"] - prev_state["sum"],
-                "min": state["min"],
-                "max": state["max"],
-                "reservoir": reservoir[max(0, len(reservoir) - count_delta):],
-                "reservoir_maxlen": state["reservoir_maxlen"],
-                "values": (
-                    {
-                        value: count - prev_state["values"].get(value, 0)
-                        for value, count in state["values"].items()
-                        if count - prev_state["values"].get(value, 0)
-                    }
-                    if state.get("values") is not None
-                    else None
-                ),
-            }
-            series.append({**record, "state": delta_state})
-        else:
-            raise ValueError(f"unknown series kind {kind!r}")
-    return {"series": series}
 
 
 METRIC_BASE_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -991,7 +919,6 @@ __all__: Iterable[str] = [
     "GaugeMetric",
     "HistogramMetric",
     "MetricsRegistry",
-    "diff_states",
     "escape_label_value",
     "get_registry",
     "naming_violations",

@@ -328,7 +328,6 @@ def reset_thread_state() -> None:
     would otherwise prefix every worker span path with whatever the
     parent happened to be doing at fork time.
     """
-    _local.stack = []
     _local.handles = []
     _local.trace_id = ""
 
@@ -401,11 +400,9 @@ def span(
     if not _enabled:
         yield None
         return
-    stack: Optional[List[str]] = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-        _local.handles = []
-    handles: List[SpanHandle] = _local.handles
+    handles: Optional[List[SpanHandle]] = getattr(_local, "handles", None)
+    if handles is None:
+        handles = _local.handles = []
     span_id = new_span_id()
     effective_parent = parent_id if parent_id is not None else (
         handles[-1].span_id if handles else ""
@@ -414,17 +411,15 @@ def span(
         name, span_id, current_trace_id(), effective_parent,
         attrs.get("trace_ids"),
     )
-    stack.append(name)
     handles.append(handle)
-    path = "/".join(stack)
-    depth = len(stack) - 1
+    path = "/".join([open_span.name for open_span in handles])
+    depth = len(handles) - 1
     start_ts = time.time()
     started = time.perf_counter()
     try:
         yield handle
     finally:
         duration = time.perf_counter() - started
-        stack.pop()
         handles.pop()
         observe_span(
             name,
@@ -449,7 +444,6 @@ def _event_record(kind: str, trace_id: str, attrs: Dict) -> SpanRecord:
     inside a batch (a retry, a worker-side model event) belongs to the
     batch's requests.
     """
-    stack = getattr(_local, "stack", None) or []
     handles = getattr(_local, "handles", None) or []
     if not trace_id and "trace_ids" not in attrs:
         claims = next(
@@ -460,9 +454,9 @@ def _event_record(kind: str, trace_id: str, attrs: Dict) -> SpanRecord:
             attrs["trace_ids"] = claims
     return SpanRecord(
         name=kind,
-        path="/".join(stack + [kind]),
+        path="/".join([handle.name for handle in handles] + [kind]),
         duration_s=0.0,
-        depth=len(stack),
+        depth=len(handles),
         thread=threading.current_thread().name,
         attrs=attrs,
         trace_id=trace_id or current_trace_id(),

@@ -105,16 +105,6 @@ class ParrotExtractor:
         elif config.spikes is not None:
             self._evaluator = SpikingEvaluator(network, ticks=config.spikes, rng=rng)
 
-    def with_normalization(self, method: str) -> "ParrotExtractor":
-        """A copy with a different block normalisation."""
-        return ParrotExtractor(
-            self.network,
-            replace(self.config, normalization=method),
-            rng=self._rng,
-            backend=self.backend,
-            engine=self.engine,
-        )
-
     def with_spikes(self, spikes: Optional[int]) -> "ParrotExtractor":
         """A copy at a different input spike precision."""
         return ParrotExtractor(

@@ -120,18 +120,5 @@ class LruResultCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits / lookups, 0.0 before any lookup.
-
-        Reads ``hits`` and ``misses`` under the cache lock: ``lookup``
-        mutates them there, so an unlocked read could tear (see the
-        threaded regression test in ``tests/test_serve_cache.py``).
-        """
-        with self._lock:
-            hits = self.hits
-            total = hits + self.misses
-        return hits / total if total else 0.0
-
 
 __all__ = ["MISS", "LruResultCache", "content_key", "content_keys"]

@@ -127,10 +127,11 @@ def _worker_main(shard_index, model, in_queue, out_queue):
     Protocol: dispatch messages are ``(batch_id, matrix, telemetry,
     trace_ids, parent_span_id, tracing_on)``; ``None`` means shut down.
     Replies are ``("ok", batch_id, results, runs, records, metrics_delta)``
-    with the raw activity ledgers, the trace-log records (spans and
-    events) appended since the previous reply, and the worker
-    registry's state delta (the same
-    ship-raw-merge-in-parent pattern the hw ledgers use), or
+    with the raw activity ledgers, and the trace-log records (spans and
+    events) and worker-registry series recorded since the previous
+    reply (the log is cleared and the registry reset after each
+    export; the same ship-raw-merge-in-parent pattern the hw ledgers
+    use), or
     ``("err", batch_id, type_name, message)`` — exceptions are
     flattened to strings so they pickle regardless of type.
 
@@ -156,7 +157,6 @@ def _worker_main(shard_index, model, in_queue, out_queue):
     log = tracing.trace_log()
     log.clear()
     registry = obs_metrics.get_registry()
-    shipped_state = registry.export_state()
     batch_fn = _resolve_batch_fn(model)
     while True:
         message = in_queue.get()
@@ -176,12 +176,12 @@ def _worker_main(shard_index, model, in_queue, out_queue):
                 with hwcounters.collect() as activity:
                     results = np.asarray(batch_fn(matrix))
             # This loop is the worker's only thread, so nothing records
-            # between the read and the clear: each record ships once.
+            # between a read and its reset: each record and each
+            # observation ships once.
             records = log.entries()
             log.clear()
-            state = registry.export_state()
-            delta = obs_metrics.diff_states(state, shipped_state)
-            shipped_state = state
+            delta = registry.export_state()
+            registry.reset()
             out_queue.put(
                 ("ok", batch_id, results, list(activity.runs), records, delta)
             )

@@ -17,6 +17,14 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro.obs import MetricsRegistry, summarize_spans
 
+#: Metric-name prefix inside the registry (counters become
+#: ``serve_{name}_total`` and so on).
+PREFIX = "serve"
+
+#: Most-recent samples kept by each histogram's reservoir for the
+#: percentile estimates (bounded, so a long-running service never grows).
+LATENCY_WINDOW = 8192
+
 #: Upper bounds for the request-latency histogram (seconds).
 LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
@@ -36,49 +44,34 @@ class ServiceStats:
     """Counters, batch-size histogram, and a latency reservoir.
 
     Args:
-        latency_window: number of most-recent request latencies kept for
-            the percentile estimates (a bounded reservoir so a
-            long-running service never grows).
         registry: target metrics registry; ``None`` (default) creates a
             private one per instance.
-        prefix: metric-name prefix inside the registry (counters become
-            ``{prefix}_{name}_total`` and so on).
     """
 
-    def __init__(
-        self,
-        latency_window: int = 8192,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "serve",
-    ) -> None:
-        if latency_window < 1:
-            raise ValueError(
-                f"latency_window must be >= 1, got {latency_window}"
-            )
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
         self._latency = self.registry.histogram(
-            f"{prefix}_latency_seconds",
+            f"{PREFIX}_latency_seconds",
             help="submit-to-result latency of completed requests",
             buckets=LATENCY_BUCKETS,
-            reservoir=latency_window,
+            reservoir=LATENCY_WINDOW,
         )
         self._batches = self.registry.histogram(
-            f"{prefix}_batch_size",
+            f"{PREFIX}_batch_size",
             help="requests per dispatched micro-batch",
             buckets=BATCH_SIZE_BUCKETS,
-            reservoir=latency_window,
+            reservoir=LATENCY_WINDOW,
             track_values=True,
         )
         self._queue_gauge = self.registry.gauge(
-            f"{prefix}_queue_depth",
+            f"{PREFIX}_queue_depth",
             help="requests currently waiting in the bounded queue",
         )
         self._energy = self.registry.histogram(
-            f"{prefix}_request_energy_nj",
+            f"{PREFIX}_request_energy_nj",
             help="attributed simulated energy per scored request (nJ)",
             buckets=ENERGY_BUCKETS_NJ,
-            reservoir=latency_window,
+            reservoir=LATENCY_WINDOW,
         )
 
     # ------------------------------------------------------------------
@@ -88,7 +81,7 @@ class ServiceStats:
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n``."""
-        self.registry.counter(f"{self.prefix}_{name}_total").inc(n)
+        self.registry.counter(f"{PREFIX}_{name}_total").inc(n)
 
     def record_batch(self, size: int) -> None:
         """Record one dispatched batch of ``size`` requests."""
@@ -119,7 +112,7 @@ class ServiceStats:
                 self.count(f"hw_{key}", value)
                 if shard is not None:
                     self.registry.counter(
-                        f"{self.prefix}_hw_{key}_total",
+                        f"{PREFIX}_hw_{key}_total",
                         labels={"shard": str(shard)},
                     ).inc(value)
 
@@ -133,14 +126,14 @@ class ServiceStats:
         """
         self._energy.observe_many(nanojoules)
         self.registry.counter(
-            f"{self.prefix}_energy_nanojoules_total",
+            f"{PREFIX}_energy_nanojoules_total",
             help="total simulated energy attributed to scored requests (nJ)",
         ).inc_many(nanojoules)
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> int:
         """Current value of counter ``name`` (0 when never touched)."""
-        metric = self.registry.get(f"{self.prefix}_{name}_total")
+        metric = self.registry.get(f"{PREFIX}_{name}_total")
         return metric.value if metric is not None else 0
 
     @property
@@ -162,7 +155,7 @@ class ServiceStats:
 
     def _short_counters(self) -> Dict[str, int]:
         """Registry counters mapped back to their legacy short names."""
-        prefix = f"{self.prefix}_"
+        prefix = f"{PREFIX}_"
         out: Dict[str, int] = {}
         for name, value in self.registry.counters_with_prefix(prefix).items():
             short = name[len(prefix):]
@@ -218,5 +211,7 @@ __all__ = [
     "BATCH_SIZE_BUCKETS",
     "ENERGY_BUCKETS_NJ",
     "LATENCY_BUCKETS",
+    "LATENCY_WINDOW",
+    "PREFIX",
     "ServiceStats",
 ]

@@ -51,7 +51,6 @@ from repro.truenorth.placement import (
     PlacementReport,
     apply_best_placement,
     best_placement,
-    fabric_hop_cost,
     grouped_placement,
     sequential_placement,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "Router",
     "apply_best_placement",
     "best_placement",
-    "fabric_hop_cost",
     "grouped_placement",
     "sequential_placement",
     "SimulationResult",

@@ -137,12 +137,6 @@ class BatchSimulationResult:
         """Per-lane, per-line firing counts, shape ``(batch, width)``."""
         return self.probe_spikes[probe].sum(axis=1)
 
-    def spike_rates(self, probe: str) -> np.ndarray:
-        """Per-lane firing rates (counts / ticks), shape ``(batch, width)``."""
-        if self.ticks == 0:
-            raise ValueError("no ticks were simulated")
-        return self.spike_counts(probe) / float(self.ticks)
-
 
 def normalize_batch_inputs(
     system: NeurosynapticSystem,

@@ -36,13 +36,6 @@ class PlacementReport:
     total_routes: int
     inter_chip_routes: int
 
-    @property
-    def inter_chip_fraction(self) -> float:
-        """Share of routes crossing a chip boundary (0 when no routes)."""
-        if self.total_routes == 0:
-            return 0.0
-        return self.inter_chip_routes / self.total_routes
-
 
 def _audit(
     system: NeurosynapticSystem, assignment: Dict[int, int]
@@ -170,25 +163,6 @@ class ChipTopology:
         return 2 * climb
 
 
-def fabric_hop_cost(
-    system: NeurosynapticSystem,
-    report: PlacementReport,
-    topology: Optional[ChipTopology] = None,
-) -> int:
-    """Total fabric hops if every route fired once under ``report``.
-
-    A static cost model for comparing placements: dynamic per-spike
-    accounting lives in the engines' RunActivity ledgers.
-    """
-    topology = topology or ChipTopology()
-    return sum(
-        topology.hops_between(
-            report.assignment[route.src_core], report.assignment[route.dst_core]
-        )
-        for route in system.router.routes
-    )
-
-
 def apply_best_placement(
     system: NeurosynapticSystem,
     groups: Optional[Sequence[Sequence[int]]] = None,
@@ -224,7 +198,6 @@ __all__ = [
     "PlacementReport",
     "apply_best_placement",
     "best_placement",
-    "fabric_hop_cost",
     "grouped_placement",
     "sequential_placement",
 ]

@@ -77,14 +77,6 @@ class Router:
         """All registered routes."""
         return tuple(self._routes.values())
 
-    def route_for(self, src_core: int, src_neuron: int) -> Route:
-        """Return the route leaving ``(src_core, src_neuron)``.
-
-        Raises:
-            KeyError: if the neuron has no route.
-        """
-        return self._routes[(src_core, src_neuron)]
-
     # ------------------------------------------------------------------
     # Simulation-time interface
     # ------------------------------------------------------------------

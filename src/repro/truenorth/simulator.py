@@ -45,12 +45,6 @@ class SimulationResult:
         """Per-line firing counts over the whole run for ``probe``."""
         return self.probe_spikes[probe].sum(axis=0)
 
-    def spike_rates(self, probe: str) -> np.ndarray:
-        """Per-line firing rates (counts / ticks) for ``probe``."""
-        if self.ticks == 0:
-            raise ValueError("no ticks were simulated")
-        return self.spike_counts(probe) / float(self.ticks)
-
 
 class Simulator:
     """Runs a system tick by tick, feeding inputs and recording probes.

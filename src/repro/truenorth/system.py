@@ -196,18 +196,6 @@ class NeurosynapticSystem:
         """Chip hosting ``core_id`` (0 when no placement was applied)."""
         return self._chip_assignment.get(core_id, 0)
 
-    @property
-    def chip_assignment(self) -> Dict[int, int]:
-        """A copy of the applied ``core_id -> chip`` mapping."""
-        return dict(self._chip_assignment)
-
-    @property
-    def chip_count(self) -> int:
-        """Distinct chips occupied by the system's cores."""
-        if not self._cores:
-            return 0
-        return len({self.chip_of(cid) for cid in self._cores})
-
     def reset_state(self) -> None:
         """Zero every core's potentials and drop in-flight spikes."""
         for core in self._cores.values():

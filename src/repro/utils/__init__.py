@@ -1,23 +1,13 @@
-"""Shared low-level utilities: RNG handling, image helpers, validation."""
+"""Shared low-level utilities: RNG handling and image helpers."""
 
 from repro.utils.rng import resolve_rng
 from repro.utils.images import (
-    pad_reflect,
     rgb_to_grayscale,
     to_float_image,
     to_uint8_image,
 )
-from repro.utils.validation import (
-    check_in_range,
-    check_positive,
-    check_shape,
-)
 
 __all__ = [
-    "check_in_range",
-    "check_positive",
-    "check_shape",
-    "pad_reflect",
     "resolve_rng",
     "rgb_to_grayscale",
     "to_float_image",

@@ -52,15 +52,6 @@ def to_uint8_image(image: np.ndarray) -> np.ndarray:
     return np.round(arr * 255.0).astype(np.uint8)
 
 
-def pad_reflect(image: np.ndarray, pad: int) -> np.ndarray:
-    """Reflect-pad a 2-D image by ``pad`` pixels on every side."""
-    if pad < 0:
-        raise ValueError(f"pad must be non-negative, got {pad}")
-    if pad == 0:
-        return np.asarray(image, dtype=np.float64).copy()
-    return np.pad(np.asarray(image, dtype=np.float64), pad, mode="reflect")
-
-
 def resize_bilinear(image: np.ndarray, out_shape: Tuple[int, int]) -> np.ndarray:
     """Resize a 2-D image with bilinear interpolation.
 
@@ -99,19 +90,7 @@ def resize_bilinear(image: np.ndarray, out_shape: Tuple[int, int]) -> np.ndarray
     return top * (1.0 - wy[:, 0])[:, None] + bottom * wy[:, 0][:, None]
 
 
-def crop(image: np.ndarray, top: int, left: int, height: int, width: int) -> np.ndarray:
-    """Crop ``image[top:top+height, left:left+width]`` with bounds checking."""
-    arr = np.asarray(image)
-    if top < 0 or left < 0 or top + height > arr.shape[0] or left + width > arr.shape[1]:
-        raise ValueError(
-            f"crop ({top},{left},{height},{width}) outside image {arr.shape[:2]}"
-        )
-    return arr[top : top + height, left : left + width].copy()
-
-
 __all__ = [
-    "crop",
-    "pad_reflect",
     "resize_bilinear",
     "rgb_to_grayscale",
     "to_float_image",

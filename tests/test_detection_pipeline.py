@@ -8,12 +8,10 @@ import pytest
 from repro.detection import (
     EednBinaryScorer,
     SlidingWindowDetector,
-    SpikingBinaryScorer,
     TrueNorthBinaryScorer,
 )
 from repro.eedn import (
     EednNetwork,
-    SpikingEvaluator,
     ThresholdActivation,
     TrinaryDense,
 )
@@ -279,16 +277,6 @@ class TestScorers:
         logits = network.forward(features)
         margins = scorer.decision_function(features)
         assert np.allclose(margins, logits[:, 1] - logits[:, 0])
-
-    def test_spiking_scorer_counts(self):
-        network = self._classifier()
-        evaluator = SpikingEvaluator(network, ticks=8, rng=0)
-        scorer = SpikingBinaryScorer(evaluator)
-        margins = scorer.decision_function(
-            np.random.default_rng(1).random((3, 2304))
-        )
-        assert margins.shape == (3,)
-        assert np.abs(margins).max() <= 8
 
     def _small_classifier(self):
         return EednNetwork(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eedn.losses import hinge_loss, softmax_cross_entropy
+from repro.eedn.losses import softmax_cross_entropy
 from repro.parrot.trainer import rate_matching_loss
 
 
@@ -59,29 +59,6 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(np.zeros((2, 3)), np.zeros((2, 4)))
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros(3), np.zeros(3))
-
-
-class TestHingeLoss:
-    def test_zero_inside_margin(self):
-        loss, grad = hinge_loss(np.array([2.0, -2.0]), np.array([1, -1]))
-        assert loss == 0.0
-        assert not grad.any()
-
-    def test_active_margin_gradient(self):
-        rng = np.random.default_rng(2)
-        scores = rng.normal(size=6)
-        labels = np.where(rng.random(6) > 0.5, 1.0, -1.0)
-        _, grad = hinge_loss(scores, labels)
-        numeric = _numerical_gradient(lambda s: hinge_loss(s, labels)[0], scores)
-        assert np.allclose(grad, numeric, atol=1e-5)
-
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            hinge_loss(np.array([1.0]), np.array([0]))
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            hinge_loss(np.array([1.0, 2.0]), np.array([1]))
 
 
 class TestRateMatchingLoss:

@@ -97,11 +97,6 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             evaluator.evaluate(np.ones((1, 7)))
 
-    def test_rasters_shape(self):
-        evaluator = SpikingEvaluator(_net(), ticks=6, rng=0)
-        rasters = evaluator.spike_rasters(np.ones((2, 6)) * 0.5)
-        assert rasters.shape == (6, 2, 3)
-
     def test_seeded_reproducibility(self):
         values = np.random.default_rng(8).random((3, 6))
         a = SpikingEvaluator(_net(), ticks=16, rng=7).evaluate(values).counts

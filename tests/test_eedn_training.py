@@ -44,10 +44,6 @@ class TestNetwork:
         logits = net.forward(x)
         assert np.array_equal(net.predict(x), logits.argmax(axis=1))
 
-    def test_parameter_count(self):
-        net = _small_net()
-        assert net.parameter_count() == 8 * 64 + 64 + 64 * 2 + 2
-
 
 class TestTraining:
     def test_learns_separable_task(self):

@@ -55,12 +55,6 @@ class TestDescriptor:
         grid = HogDescriptor().cell_grid(image)
         assert grid.shape == (2, 2, 9)
 
-    def test_with_normalization_copy(self):
-        descriptor = HogDescriptor()
-        other = descriptor.with_normalization("none")
-        assert other.config.normalization == "none"
-        assert descriptor.config.normalization == "l2"
-
     def test_from_cells_equals_compute(self):
         descriptor = HogDescriptor()
         image = np.random.default_rng(1).random((32, 32))

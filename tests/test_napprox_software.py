@@ -164,12 +164,6 @@ class TestQuantizedModel:
         with pytest.raises(ValueError):
             NApproxDescriptor(NApproxConfig(magnitude_threshold=0))
 
-    def test_with_normalization(self):
-        descriptor = NApproxDescriptor()
-        other = descriptor.with_normalization("none")
-        assert other.config.normalization == "none"
-        assert other.config.quantized == descriptor.config.quantized
-
 
 # ----------------------------------------------------------------------
 # The kernel oracle: the (H, W, 18) projection kernel, frozen here as

@@ -14,7 +14,6 @@ from repro.obs import (
     GaugeMetric,
     HistogramMetric,
     MetricsRegistry,
-    diff_states,
     escape_label_value,
     get_registry,
     normalize_labels,
@@ -388,7 +387,7 @@ class TestProcessRegistry:
 
 
 class TestStateShipping:
-    """export_state / diff_states / merge_state — the worker wire format."""
+    """export_state / reset / merge_state — the worker wire format."""
 
     def _source(self):
         registry = MetricsRegistry()
@@ -426,56 +425,48 @@ class TestStateShipping:
         # original label sets are not present without the extra label
         assert destination.get("engine_runs_total") is None
 
-    def test_diff_omits_unchanged_series(self):
-        source = self._source()
-        before = source.export_state()
-        delta = diff_states(source.export_state(), before)
-        assert delta["series"] == []
+    def test_export_and_reset_rounds_reproduce_one_registry(self):
+        """Merging each round's export, with the source reset after
+        every export, renders what one registry that saw every
+        observation renders."""
+        rounds = [
+            {"runs": 3, "latencies": (0.005, 0.05, 0.5), "hops": 42, "depth": 7.0},
+            {"runs": 0, "latencies": (), "hops": 0, "depth": None},
+            {"runs": 2, "latencies": (0.002, 0.3), "hops": 0, "depth": 1.0},
+            {"runs": 1, "latencies": (0.07,), "hops": 5, "depth": None},
+        ]
 
-    def test_diff_carries_only_the_increment(self):
-        source = self._source()
-        before = source.export_state()
-        source.counter("engine_runs_total").inc(2)
-        source.histogram(
-            "serve_latency_seconds", buckets=(0.01, 0.1, 1.0)
-        ).observe(0.02)
-        delta = diff_states(source.export_state(), before)
-        by_name = {record["name"]: record for record in delta["series"]}
-        assert set(by_name) == {"engine_runs_total", "serve_latency_seconds"}
-        assert by_name["engine_runs_total"]["value"] == 2
-        hist_delta = by_name["serve_latency_seconds"]["state"]
-        assert hist_delta["count"] == 1
-        assert hist_delta["reservoir"] == [0.02]
-        assert hist_delta["bucket_counts"] == [0, 1, 0, 0]  # + overflow
+        def record(registry, observations):
+            if observations["runs"]:
+                registry.counter("engine_runs_total", help="runs").inc(
+                    observations["runs"]
+                )
+            hist = registry.histogram(
+                "serve_latency_seconds", buckets=(0.01, 0.1, 1.0)
+            )
+            hist.observe_many(observations["latencies"])
+            if observations["hops"]:
+                registry.counter(
+                    "serve_hw_router_hops_total", labels={"chip": "0"}
+                ).inc(observations["hops"])
+            if observations["depth"] is not None:
+                registry.gauge("serve_queue_depth").set(observations["depth"])
 
-    def test_gauge_ships_absolute_value_on_change(self):
-        source = self._source()
-        before = source.export_state()
-        source.gauge("serve_queue_depth").set(1.0)
-        delta = diff_states(source.export_state(), before)
-        (record,) = delta["series"]
-        assert record["kind"] == "gauge" and record["value"] == 1.0
-
-    def test_incremental_deltas_reproduce_final_state(self):
-        """Merging every delta in order == merging the final state once."""
-        source = self._source()
-        shipped = source.export_state()
+        source = MetricsRegistry()
         incremental = MetricsRegistry()
-        incremental.merge_state(diff_states(shipped, {"series": []}))
-        for round_values in ((0.002, 0.3), (0.07,)):
-            for value in round_values:
-                source.histogram(
-                    "serve_latency_seconds", buckets=(0.01, 0.1, 1.0)
-                ).observe(value)
-                source.counter("engine_runs_total").inc()
-            state = source.export_state()
-            incremental.merge_state(diff_states(state, shipped))
-            shipped = state
+        seen_all = MetricsRegistry()
+        for observations in rounds:
+            record(source, observations)
+            record(seen_all, observations)
+            incremental.merge_state(source.export_state(), extra_labels={"shard": "0"})
+            source.reset()
         oneshot = MetricsRegistry()
-        oneshot.merge_state(source.export_state())
-        assert (
-            incremental.render_prometheus() == oneshot.render_prometheus()
-        )
+        oneshot.merge_state(seen_all.export_state(), extra_labels={"shard": "0"})
+        assert incremental.render_prometheus() == oneshot.render_prometheus()
+        assert incremental.get(
+            "serve_latency_seconds", labels={"shard": "0"}
+        ).snapshot()["count"] == 6
+        assert source.export_state() == {"series": []}
 
     def test_histogram_merge_adds_buckets_and_folds_extrema(self):
         left = HistogramMetric("h_seconds", buckets=(1.0, 10.0))
@@ -519,68 +510,3 @@ class TestStateShipping:
         ]
         assert len(exposed) == 2
         assert destination.get(DROPPED_SERIES_COUNTER).value == 2
-
-    def test_round_trip_under_concurrency(self):
-        """8 writer threads + live delta shipping lose no updates."""
-        source = MetricsRegistry()
-        destination = MetricsRegistry()
-        stop = threading.Event()
-        per_thread, threads_n = 400, 8
-
-        def writer(index):
-            counter = source.counter("engine_runs_total")
-            hist = source.histogram(
-                "serve_latency_seconds", buckets=(0.01, 0.1, 1.0)
-            )
-            labeled = source.counter(
-                "serve_hw_router_hops_total", labels={"chip": str(index % 2)}
-            )
-            for _ in range(per_thread):
-                counter.inc()
-                hist.observe(0.5)
-                labeled.inc(2)
-
-        workers = [
-            threading.Thread(target=writer, args=(i,))
-            for i in range(threads_n)
-        ]
-        shipped = {"series": []}
-        for worker in workers:
-            worker.start()
-        try:
-            # ship deltas concurrently with the writers, like a worker
-            # shipping after every batch
-            while any(worker.is_alive() for worker in workers):
-                state = source.export_state()
-                destination.merge_state(
-                    diff_states(state, shipped), extra_labels={"shard": "0"}
-                )
-                shipped = state
-        finally:
-            stop.set()
-            for worker in workers:
-                worker.join()
-        state = source.export_state()
-        destination.merge_state(
-            diff_states(state, shipped), extra_labels={"shard": "0"}
-        )
-        total = threads_n * per_thread
-        assert (
-            destination.get("engine_runs_total", labels={"shard": "0"}).value
-            == total
-        )
-        merged_hist = destination.get(
-            "serve_latency_seconds", labels={"shard": "0"}
-        )
-        snap = merged_hist.snapshot()
-        assert snap["count"] == total
-        assert snap["sum"] == pytest.approx(total * 0.5)
-        assert snap["buckets"]["1.0"] == total
-        hops = sum(
-            destination.get(
-                "serve_hw_router_hops_total",
-                labels={"chip": str(chip), "shard": "0"},
-            ).value
-            for chip in (0, 1)
-        )
-        assert hops == total * 2

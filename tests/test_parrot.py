@@ -99,10 +99,6 @@ class TestExtractor:
         assert spiking.config.spikes == 4
         assert tiny_parrot_extractor.config.spikes is None
 
-    def test_with_normalization_copy(self, tiny_parrot_extractor):
-        normed = tiny_parrot_extractor.with_normalization("l2")
-        assert normed.config.normalization == "l2"
-
     def test_feature_length(self, tiny_parrot_extractor):
         assert tiny_parrot_extractor.feature_length((128, 64)) == 7560
 
@@ -177,7 +173,6 @@ class TestTrueNorthBackend:
         extractor = ParrotExtractor(
             network, ParrotFeatureConfig(spikes=2), rng=0, backend="truenorth"
         )
-        assert extractor.with_normalization("l2").backend == "truenorth"
         assert extractor.with_spikes(4).backend == "truenorth"
         # Dropping spike coding forces the analog numpy path.
         assert extractor.with_spikes(None).backend == "numpy"

@@ -26,7 +26,6 @@ from repro.faults import DroppedSpikes, DuplicatedSpikes, FaultPlan
 from repro.truenorth import (
     ChipTopology,
     apply_best_placement,
-    fabric_hop_cost,
 )
 from repro.truenorth.placement import best_placement
 from repro.truenorth.simulator import Simulator
@@ -66,7 +65,6 @@ def _placed_sim(engine, cores_per_chip=2, faults=None):
 class TestChipAssignment:
     def test_default_assignment_is_single_chip(self):
         system = _chain_system()
-        assert system.chip_count == 1
         assert all(system.chip_of(c) == 0 for c in range(4))
 
     def test_apply_placement_spans_chips(self):
@@ -74,8 +72,7 @@ class TestChipAssignment:
         report = apply_best_placement(system, cores_per_chip=2)
         chips = {system.chip_of(core) for core in range(4)}
         assert len(chips) == 2
-        assert system.chip_count == 2
-        assert system.chip_assignment == report.assignment
+        assert {core: system.chip_of(core) for core in range(4)} == report.assignment
 
     def test_apply_placement_rejects_unknown_core(self):
         system = _chain_system()
@@ -91,7 +88,7 @@ class TestChipAssignment:
         system = _chain_system()
         report = best_placement(system, cores_per_chip=2)
         system.apply_placement(report)
-        assert system.chip_assignment == report.assignment
+        assert {core: system.chip_of(core) for core in range(4)} == report.assignment
 
 
 class TestChipTopology:
@@ -107,16 +104,6 @@ class TestChipTopology:
 
     def test_binary_fanout_grows_depth(self):
         assert ChipTopology(fanout=2).hops_between(0, 3) == 4
-
-    def test_fabric_hop_cost_zero_on_one_chip(self):
-        system = _chain_system()
-        report = best_placement(system, cores_per_chip=4)
-        assert fabric_hop_cost(system, report) == 0
-
-    def test_fabric_hop_cost_counts_crossings(self):
-        system = _chain_system()
-        report = best_placement(system, cores_per_chip=1)
-        assert fabric_hop_cost(system, report) > 0
 
 
 class TestHopSplitSemantics:

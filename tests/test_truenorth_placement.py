@@ -32,14 +32,9 @@ class TestSequential:
         assert report.inter_chip_routes == 1
         assert report.total_routes == 5
 
-    def test_fraction(self):
-        report = sequential_placement(_chain_system(6), cores_per_chip=3)
-        assert report.inter_chip_fraction == pytest.approx(0.2)
-
     def test_empty_system(self):
         report = sequential_placement(NeurosynapticSystem())
         assert report.chips == 0
-        assert report.inter_chip_fraction == 0.0
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):

@@ -90,11 +90,3 @@ class TestDelivery:
         router.submit(0, 1, fired)
         due = router.collect(1)
         assert due[2][1] and due[2][3]
-
-    def test_route_lookup(self):
-        router = Router()
-        route = Route(3, 7, 4, 8)
-        router.add_route(route)
-        assert router.route_for(3, 7) == route
-        with pytest.raises(KeyError):
-            router.route_for(3, 8)

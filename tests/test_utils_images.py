@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils.images import (
-    crop,
-    pad_reflect,
     resize_bilinear,
     rgb_to_grayscale,
     to_float_image,
@@ -44,31 +42,6 @@ class TestRanges:
         values = np.linspace(0, 1, 20).reshape(4, 5)
         recovered = to_float_image(to_uint8_image(values))
         assert np.abs(recovered - values).max() <= 0.5 / 255
-
-
-class TestPadAndCrop:
-    def test_pad_reflect_shape(self):
-        assert pad_reflect(np.zeros((3, 4)), 2).shape == (7, 8)
-
-    def test_pad_zero_is_copy(self):
-        image = np.arange(6.0).reshape(2, 3)
-        padded = pad_reflect(image, 0)
-        padded[0, 0] = 99
-        assert image[0, 0] == 0
-
-    def test_pad_negative_rejected(self):
-        with pytest.raises(ValueError):
-            pad_reflect(np.zeros((3, 3)), -1)
-
-    def test_crop_basic(self):
-        image = np.arange(20).reshape(4, 5)
-        region = crop(image, 1, 2, 2, 3)
-        assert region.shape == (2, 3)
-        assert region[0, 0] == 7
-
-    def test_crop_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            crop(np.zeros((4, 5)), 3, 0, 2, 2)
 
 
 class TestResize:
