@@ -73,14 +73,15 @@ def non_maximum_suppression(
     # detections nondeterministic. Sorting the negated scores with
     # kind="stable" keeps tied detections in input order.
     order = np.argsort(-score_arr, kind="stable")
-    iou = box_iou(box_arr, box_arr)
     kept: List[int] = []
     suppressed = np.zeros(box_arr.shape[0], dtype=bool)
     for index in order:
         if suppressed[index]:
             continue
         kept.append(int(index))
-        suppressed |= iou[index] > epsilon
+        # Only kept boxes suppress, so only their IoU rows are needed;
+        # each row is the same elementwise arithmetic as the full matrix.
+        suppressed |= box_iou(box_arr[index], box_arr)[0] > epsilon
     return kept
 
 

@@ -6,7 +6,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coding.stochastic import StochasticEncoder
 from repro.detection.nms import non_maximum_suppression
 from repro.detection.pyramid import ImagePyramid
 from repro.eedn.layers import TrinaryDense
@@ -117,7 +116,8 @@ class TrueNorthBinaryScorer:
         network: trained 2-output dense Eedn network.
         ticks: spike window per evaluated feature vector.
         positive_class: index of the "person" output.
-        rng: seed for the stochastic input coding.
+        rng: seed for the stochastic input coding (below ``2**64``
+            under content coding).
         engine: simulation engine, ``"batch"`` (default) or
             ``"reference"``; the two are bit-identical.
         coding: ``"stream"`` (default) draws every window's spike raster
@@ -161,11 +161,12 @@ class TrueNorthBinaryScorer:
         self._dense_layers = [
             layer for layer in network.layers if isinstance(layer, TrinaryDense)
         ]
-        self._encoder = StochasticEncoder(ticks)
         if isinstance(rng, (int, np.integer)):
             self._entropy = int(rng)
         else:
             self._entropy = int(resolve_rng(rng).integers(0, 2**63))
+        if coding == "content" and self._entropy >= 2**64:
+            raise ValueError(f"content coding needs a seed below 2**64, got {rng}")
         self._rng = resolve_rng(rng)
         self._simulator = Simulator(
             self.deployed.system, rng=rng, engine=engine, faults=faults
@@ -221,37 +222,145 @@ class TrueNorthBinaryScorer:
             (layer.deployed_weights(), layer.bias) for layer in self._dense_layers
         ]
 
-    def _content_rng(self, row: np.ndarray) -> np.random.Generator:
-        """Generator seeded from the scorer entropy and the row bytes."""
-        digest = hashlib.blake2b(
-            np.ascontiguousarray(row, dtype=np.float64).tobytes(), digest_size=8
-        ).digest()
-        word = int.from_bytes(digest, "big")
-        return np.random.default_rng(
-            np.random.SeedSequence([self._entropy, word])
-        )
-
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Spike-count margins for a ``(n, f)`` feature matrix in [0, 1]."""
-        x = np.clip(np.asarray(features, dtype=np.float64), 0.0, 1.0)
+        x = np.ascontiguousarray(
+            np.clip(np.asarray(features, dtype=np.float64), 0.0, 1.0)
+        )
         if x.ndim == 1:
             x = x[None, :]
         if x.shape[1] != self._n_in:
             raise ValueError(f"expected {self._n_in} features, got {x.shape[1]}")
         if x.shape[0] == 0:
             return np.zeros(0)
-        rasters = np.zeros((x.shape[0], self._total_ticks, self._n_in), dtype=bool)
-        for lane, row in enumerate(x):
-            lane_rng = (
-                self._content_rng(row) if self.coding == "content" else self._rng
-            )
-            rasters[lane, : self.ticks] = self._encoder.encode(row, rng=lane_rng)
-        result = self._simulator.run_batch(self._total_ticks, {"in": rasters})
+        result = self._simulator.run_batch(self._total_ticks, {"in": self._encode(x)})
         counts = result.spike_counts("out")
         negative = 1 - self.positive_class
         return (counts[:, self.positive_class] - counts[:, negative]).astype(
             np.float64
         )
+
+    def _encode(self, x: np.ndarray) -> np.ndarray:
+        """Input rasters ``(n, total_ticks, n_in)`` of a clipped chunk.
+
+        Tick ``t < ticks`` of lane ``i`` fires input ``j`` when the
+        lane's ``t``-th row of uniform draws is below ``x[i, j]``;
+        later ticks are silent while the last spikes drain.
+        """
+        n = x.shape[0]
+        if self.coding == "content":
+            draws = _content_draws(x, self._entropy, self.ticks)
+        else:
+            # One (n, ticks, n_in) draw yields, in C order, the same
+            # doubles as n successive (ticks, n_in) draws.
+            draws = self._rng.random((n, self.ticks, self._n_in))
+        rasters = np.zeros((n, self._total_ticks, self._n_in), dtype=bool)
+        np.less(draws, x[:, None, :], out=rasters[:, : self.ticks])
+        return rasters
+
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _content_seed_states(entropy: int, words: np.ndarray) -> np.ndarray:
+    """``SeedSequence([entropy, w]).generate_state(4, np.uint64)`` per word.
+
+    SeedSequence splits each integer into little-endian uint32 words (0
+    is one word) and hashes them into a 4-word pool; an absent word
+    mixes exactly like a zero word, so every ``w`` is taken as two words
+    and the rest of the pool is zero-padded. The uint32 arithmetic runs
+    masked in uint64 arrays, one row per word.
+
+    Args:
+        entropy: non-negative scorer entropy below ``2**64``.
+        words: ``(n,)`` uint64 words.
+
+    Returns:
+        ``(n, 4)`` uint64 states, the seed material of ``PCG64``.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    assert 0 <= entropy < 1 << 64, "entropy and word must fit the 4-word pool"
+    lead = [entropy & _MASK32] + ([entropy >> 32] if entropy >> 32 else [])
+    entropy_words = [np.full(words.shape, w, dtype=np.uint64) for w in lead]
+    entropy_words += [words & _MASK32, words >> 32]
+    entropy_words += [np.zeros_like(words)] * (_POOL_SIZE - len(entropy_words))
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = ((x * _MIX_MULT_L) - (y * _MIX_MULT_R)) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy_words]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    hash_const = _INIT_B
+    halves = []
+    for index in range(2 * _POOL_SIZE):
+        value = pool[index % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        halves.append(value ^ (value >> _XSHIFT))
+    return np.stack(
+        [halves[2 * k] | (halves[2 * k + 1] << 32) for k in range(_POOL_SIZE)],
+        axis=1,
+    )
+
+
+def _content_draws(x: np.ndarray, entropy: int, ticks: int) -> np.ndarray:
+    """Uniform draws ``(n, ticks, f)`` seeded from each row's bytes.
+
+    Lane ``i`` holds the first ``ticks * f`` doubles of
+    ``default_rng(SeedSequence([entropy, w_i]))``, where ``w_i`` is the
+    big-endian 8-byte blake2b digest of row ``i``. The seed states of
+    the whole chunk come from :func:`_content_seed_states`; one
+    ``PCG64`` is then set to each lane's state in turn (PCG64's
+    ``set_seed``: ``inc = 2 * seed_inc + 1``, then two LCG steps from
+    zero) and fills that lane.
+
+    Args:
+        x: C-contiguous ``(n, f)`` float64 rows.
+        entropy: the scorer's coding entropy.
+        ticks: draws per input per lane.
+    """
+    digests = b"".join(
+        hashlib.blake2b(row, digest_size=8).digest() for row in x
+    )
+    words = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    states = _content_seed_states(entropy, words).tolist()
+    # Local, not shared on the scorer: lanes may score concurrently.
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    draws = np.empty((x.shape[0], ticks, x.shape[1]))
+    for lane, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(states):
+        inc = ((((inc_hi << 64) | inc_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.random(out=draws[lane])
+    return draws
 
 
 class SlidingWindowDetector:

@@ -68,8 +68,6 @@ class LruResultCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: "OrderedDict[bytes, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, key: bytes) -> Tuple[bool, Optional[Any]]:
         """``(hit, value)`` for ``key``; a hit refreshes its recency."""
@@ -79,18 +77,14 @@ class LruResultCache:
     def lookup_many(self, keys: Sequence[bytes]) -> List[Any]:
         """The cached value of each key, or :data:`MISS`, under one lock.
 
-        Keys are looked up in order; a hit refreshes its recency and
-        counts in ``hits``, a miss counts in ``misses``.
+        Keys are looked up in order; a hit refreshes its recency.
         """
         out = []
         with self._lock:
             for key in keys:
                 value = self._entries.get(key, MISS)
-                if value is MISS:
-                    self.misses += 1
-                else:
+                if value is not MISS:
                     self._entries.move_to_end(key)
-                    self.hits += 1
                 out.append(value)
         return out
 
@@ -112,7 +106,7 @@ class LruResultCache:
                 self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry (hit/miss counters are kept)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
 

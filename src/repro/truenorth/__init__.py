@@ -47,7 +47,6 @@ from repro.truenorth.power import (
     system_power_watts,
 )
 from repro.truenorth.placement import (
-    ChipTopology,
     PlacementReport,
     apply_best_placement,
     best_placement,
@@ -64,7 +63,6 @@ __all__ = [
     "CORE_AXONS",
     "CORE_NEURONS",
     "CORE_POWER_WATTS",
-    "ChipTopology",
     "ENGINES",
     "EnergyEstimate",
     "InputPort",

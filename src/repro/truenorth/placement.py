@@ -131,38 +131,6 @@ def grouped_placement(
     return _audit(system, assignment)
 
 
-@dataclass(frozen=True)
-class ChipTopology:
-    """A tree-routed AER fabric connecting chips (HiAER-style).
-
-    Chips are leaves of a ``fanout``-ary routing tree; a spike crossing
-    chips climbs to the lowest common ancestor and back down, so the hop
-    distance between two chips is twice the climb depth. On-chip delivery
-    costs zero fabric hops.
-
-    Attributes:
-        fanout: children per routing node (4 models a quad-tree fabric).
-    """
-
-    fanout: int = 4
-
-    def __post_init__(self) -> None:
-        if self.fanout < 2:
-            raise ValueError(f"fanout must be >= 2, got {self.fanout}")
-
-    def hops_between(self, chip_a: int, chip_b: int) -> int:
-        """Fabric hops for a spike travelling ``chip_a -> chip_b``."""
-        a, b = int(chip_a), int(chip_b)
-        if a < 0 or b < 0:
-            raise ValueError("chip indices must be >= 0")
-        climb = 0
-        while a != b:
-            a //= self.fanout
-            b //= self.fanout
-            climb += 1
-        return 2 * climb
-
-
 def apply_best_placement(
     system: NeurosynapticSystem,
     groups: Optional[Sequence[Sequence[int]]] = None,
@@ -194,7 +162,6 @@ def best_placement(
 
 
 __all__ = [
-    "ChipTopology",
     "PlacementReport",
     "apply_best_placement",
     "best_placement",

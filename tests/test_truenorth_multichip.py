@@ -23,10 +23,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import DroppedSpikes, DuplicatedSpikes, FaultPlan
-from repro.truenorth import (
-    ChipTopology,
-    apply_best_placement,
-)
+from repro.truenorth import apply_best_placement
 from repro.truenorth.placement import best_placement
 from repro.truenorth.simulator import Simulator
 
@@ -89,21 +86,6 @@ class TestChipAssignment:
         report = best_placement(system, cores_per_chip=2)
         system.apply_placement(report)
         assert {core: system.chip_of(core) for core in range(4)} == report.assignment
-
-
-class TestChipTopology:
-    def test_same_chip_is_free(self):
-        assert ChipTopology().hops_between(3, 3) == 0
-
-    def test_siblings_cost_one_round_trip(self):
-        # chips 0..3 share a fanout-4 switch: up one level and down.
-        assert ChipTopology(fanout=4).hops_between(0, 3) == 2
-
-    def test_cousins_climb_two_levels(self):
-        assert ChipTopology(fanout=4).hops_between(0, 4) == 4
-
-    def test_binary_fanout_grows_depth(self):
-        assert ChipTopology(fanout=2).hops_between(0, 3) == 4
 
 
 class TestHopSplitSemantics:
