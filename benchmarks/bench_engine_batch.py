@@ -13,12 +13,13 @@ A second section sweeps input spike density on a 128-core sparse-chain
 workload at batch size 1, timing the batch engine as it ships (picking
 the dense or the sparse tick path per tick) against itself with the
 dense path forced. Spiking workloads are mostly silent (Esser et al.,
-arXiv:1603.08270), and the sweep records how the sparse path converts
-that sparsity into throughput — ``benchmarks/check_regression.py``
-gates on >= 3x over forced-dense at <= 10 % density — and that the
-per-tick choice costs little where most cores are active. The payload
-keeps its historical keys: ``batch_*`` is the forced-dense arm and
-``event_*`` the engine as it ships.
+arXiv:1603.08270), and the sweep records the engine's throughput on
+sparse input — ``sparse_windows_per_second``, the shipped engine at the
+1 % point, which ``benchmarks/check_regression.py`` gates against the
+committed baseline — and that the per-tick choice costs little where
+most cores are active. The payload keeps its historical keys:
+``batch_*`` is the forced-dense arm and ``event_*`` the engine as it
+ships.
 
 Run standalone (no pytest-benchmark dependency, wall-clock timing;
 machine-readable results go to ``BENCH_engine.json`` at the repo root so
@@ -33,9 +34,9 @@ where the engine's time goes, not only how much of it there is.
 
 ``--quick`` keeps the whole run within a CI smoke budget (~10 s);
 ``--check`` exits non-zero below the acceptance speedup of 5x (batch vs
-reference), below 3x over forced-dense at sparse density, below 0.8x
-of forced-dense at density 0.5 or 1.0, or when the phases account for
-less than 90 % of the measured ``engine.run`` time.
+reference), below 0.8x of forced-dense at density 0.5 or 1.0, or when
+the phases account for less than 90 % of the measured ``engine.run``
+time.
 """
 
 import argparse
@@ -236,7 +237,6 @@ def run_bench(
     min_speedup: float,
     output: str = None,
     sweep_seconds: float = 0.5,
-    min_event_speedup: float = 3.0,
 ) -> int:
     rng = np.random.default_rng(0)
     patches = rng.random((batch, 10, 10))
@@ -301,16 +301,17 @@ def run_bench(
     }
     payload["density_sweep"] = run_density_sweep(seconds=sweep_seconds)
     points = payload["density_sweep"]["points"]
-    sparse_speedup = max(
-        point["event_speedup"] for point in points if point["density"] <= 0.10
-    )
+    sparse = points[0]
+    payload["sparse_windows_per_second"] = sparse["event_windows_per_second"]
     dense_ratio = min(
         point["event_speedup"]
         for point in points
         if point["density"] in DENSE_DENSITIES
     )
     print(
-        f"at <=10% density: {sparse_speedup:.1f}x over forced-dense; "
+        f"at {sparse['density']:.0%} density: "
+        f"{sparse['event_windows_per_second']:.1f} windows/s "
+        f"({sparse['event_speedup']:.1f}x over forced-dense); "
         f"at density {'/'.join(map(str, DENSE_DENSITIES))}: "
         f"{dense_ratio:.2f}x (outputs bit-identical)"
     )
@@ -330,11 +331,6 @@ def run_bench(
         )
     if speedup < min_speedup:
         failures.append(f"speedup {speedup:.1f}x < required {min_speedup}x")
-    if sparse_speedup < min_event_speedup:
-        failures.append(
-            f"speedup over forced-dense {sparse_speedup:.1f}x at sparse "
-            f"density < required {min_event_speedup}x"
-        )
     if dense_ratio < MIN_DENSE_RATIO:
         failures.append(
             f"{dense_ratio:.2f}x of forced-dense at dense input "
@@ -363,10 +359,6 @@ def main() -> int:
     )
     parser.add_argument("--min-speedup", type=float, default=5.0)
     parser.add_argument(
-        "--min-event-speedup", type=float, default=3.0,
-        help="required speedup over forced-dense at <=10%% input density",
-    )
-    parser.add_argument(
         "--sweep-seconds", type=float, default=0.5,
         help="timing window per (density, arm) point of the sweep",
     )
@@ -387,7 +379,6 @@ def main() -> int:
         args.min_speedup,
         args.output,
         args.sweep_seconds,
-        args.min_event_speedup,
     )
 
 

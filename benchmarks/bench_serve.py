@@ -23,6 +23,13 @@ trace-record and metrics-delta shipping, landing as
 <=5 % (DESIGN.md §12, §16), enforced against the committed baseline by
 ``benchmarks/check_regression.py``.
 
+A last section times admission itself: the serving tier around a
+zero-cost model, fed the way the video pipeline feeds it (one frame of
+887 unique window rows in 128-row ``score_many`` calls, batch size 64,
+cache 8192), so it is all queueing, caching, batching and fan-out. Its
+median over repeats lands as ``admission_ms_per_frame``, which
+``check_regression.py`` gates against the committed baseline.
+
 Run standalone (wall-clock timing, machine-readable JSON to
 ``BENCH_serve.json`` at the repo root):
 
@@ -54,6 +61,60 @@ from repro.serve import (
 from repro.truenorth.power import TICK_SECONDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: One ``video-full`` frame as the serving tier sees it: its window rows
+#: (96 pooled features each), sent in the video pipeline's chunks.
+ADMISSION_WORKLOAD = {
+    "model": "zero-cost",
+    "rows_per_frame": 887,
+    "rows_per_call": 128,
+    "features": 96,
+    "max_batch_size": 64,
+    "cache_capacity": 8192,
+    "frames_per_repeat": 30,
+}
+
+
+def _zero_cost_model(matrix):
+    return np.zeros(len(matrix))
+
+
+def run_admission(repeats: int) -> dict:
+    """The ``admission`` payload: the per-frame cost of serving itself.
+
+    Every repeat is a fresh service scoring ``frames_per_repeat``
+    frames after two untimed ones; every row is unique, so each one
+    misses the cache, is queued, batched, scored and written back, as
+    on full-motion video. Reports the median and IQR over repeats of
+    each repeat's median frame time.
+    """
+    w = ADMISSION_WORKLOAD
+    rng = np.random.default_rng(3)
+    per_repeat = []
+    for _ in range(repeats):
+        service = InferenceService(
+            _zero_cost_model,
+            max_batch_size=w["max_batch_size"],
+            cache_capacity=w["cache_capacity"],
+            model_id="zero-cost",
+        )
+        frame_seconds = []
+        with service:
+            for frame in range(w["frames_per_repeat"] + 2):
+                rows = rng.random((w["rows_per_frame"], w["features"]))
+                started = time.perf_counter()
+                for start in range(0, len(rows), w["rows_per_call"]):
+                    service.score_many(rows[start : start + w["rows_per_call"]])
+                if frame >= 2:
+                    frame_seconds.append(time.perf_counter() - started)
+        per_repeat.append(statistics.median(frame_seconds) * 1e3)
+    quartiles = statistics.quantiles(per_repeat, n=4) if repeats > 1 else [0, 0, 0]
+    return {
+        "workload": w,
+        "median_ms": statistics.median(per_repeat),
+        "iqr_ms": quartiles[2] - quartiles[0],
+        "repeat_medians_ms": per_repeat,
+    }
 
 
 def _configure_obs(enabled: bool) -> None:
@@ -389,6 +450,14 @@ def run_bench(args) -> int:
         "includes cross-process span + metrics-delta shipping)"
     )
 
+    admission = run_admission(args.admission_repeats)
+    print(
+        f"admission: {admission['median_ms']:.2f} ms per "
+        f"{ADMISSION_WORKLOAD['rows_per_frame']}-row frame around a "
+        f"zero-cost model (IQR {admission['iqr_ms']:.2f} ms over "
+        f"{args.admission_repeats} repeats)"
+    )
+
     sweep = None
     if args.workers_sweep:
         sweep = run_workers_sweep(args)
@@ -424,6 +493,8 @@ def run_bench(args) -> int:
         ),
         "sharded_obs_overhead_fraction": sharded_obs_overhead,
         "speedup": speedup,
+        "admission_ms_per_frame": admission["median_ms"],
+        "admission": admission,
         "load": report.as_dict(),
         "stats": snapshot,
     }
@@ -479,6 +550,11 @@ def main() -> int:
         help="the timed on/off arms score this multiple of --requests "
         "(averaging over enough batch cycles to separate a few-percent "
         "telemetry cost from batch-formation noise)",
+    )
+    parser.add_argument(
+        "--admission-repeats", type=int, default=7,
+        help="fresh services timed for admission_ms_per_frame (median "
+        "and IQR over them)",
     )
     parser.add_argument(
         "--workers-sweep", action="store_true",

@@ -5,14 +5,13 @@ The repo's benchmark payloads are load-bearing: every PR commits
 baselines, and this checker compares a fresh run ("current") against
 the committed ones ("baseline"):
 
-- **throughput** (engine ``batch_windows_per_second``, serve
+- **throughput** (engine ``batch_windows_per_second``, the engine's
+  ``sparse_windows_per_second`` at the density sweep's 1 % point, serve
   ``service_requests_per_second``): fails on a drop of more than
   ``--max-throughput-regression`` (default 10 %);
-- **sparse-path win** (engine ``density_sweep``): fails when the
-  current run's best ``event_speedup`` — the engine as it ships over
-  its forced-dense self — at input density <= 10 % falls below
-  ``--min-event-speedup`` (default 3x) — an absolute floor, like the
-  overhead budget, not a delta;
+- **serve admission cost** (serve ``admission_ms_per_frame``, the
+  median per-frame cost of the serving tier around a zero-cost model):
+  fails on a rise of more than ``--max-throughput-regression``;
 - **observability overhead** (serve ``obs_overhead_fraction`` and the
   sharded worker tier's ``sharded_obs_overhead_fraction``, which adds
   cross-process span and metrics-delta shipping): fails when the
@@ -98,42 +97,45 @@ def _check_throughput(name, metric, baseline, current, max_regression):
     return []
 
 
-def _check_event_sweep(current, min_event_speedup):
-    """Absolute floor on the sparse path's speedup at sparse density."""
-    sweep = current.get("density_sweep")
-    if not isinstance(sweep, dict) or not sweep.get("points"):
-        print("WARN: BENCH_engine.json: no density_sweep in current run; "
-              "skipping sparse-path gate")
+def _check_cost(name, metric, baseline, current, max_rise):
+    """Failure strings for one lower-is-better cost metric."""
+    base = baseline.get(metric)
+    cur = current.get(metric)
+    if not isinstance(base, (int, float)) or not isinstance(cur, (int, float)):
+        print(f"WARN: {name}: {metric} absent on one side; skipping")
         return []
-    sparse = [
-        point for point in sweep["points"]
-        if isinstance(point.get("density"), (int, float))
-        and point["density"] <= 0.10
-        and isinstance(point.get("event_speedup"), (int, float))
-    ]
-    if not sparse:
-        print("WARN: BENCH_engine.json: density_sweep has no <=10% points; "
-              "skipping sparse-path gate")
+    if base <= 0:
+        print(f"WARN: {name}: baseline {metric} is {base}; skipping")
         return []
-    best = max(sparse, key=lambda point: point["event_speedup"])
-    speedup = best["event_speedup"]
-    verdict = "FAIL" if speedup < min_event_speedup else "ok"
+    rise = cur / base - 1.0
+    verdict = "FAIL" if rise > max_rise else "ok"
     print(
-        f"{verdict}: BENCH_engine.json: engine {speedup:.1f}x over "
-        f"forced-dense at density {best['density']:.0%} "
-        f"(floor {min_event_speedup:.1f}x)"
+        f"{verdict}: {name}: {metric} {base:.2f} -> {cur:.2f} "
+        f"({rise * 100:+.1f}%, ceiling +{max_rise * 100:.0f}%)"
     )
-    if speedup < min_event_speedup:
-        return [
-            f"BENCH_engine.json: speedup over forced-dense {speedup:.1f}x "
-            f"at sparse density below the {min_event_speedup:.1f}x floor"
-        ]
+    if rise > max_rise:
+        return [f"{name}: {metric} rose {rise * 100:.1f}%"]
     return []
 
 
 def check_engine(baseline, current, args):
-    """Engine throughput, plus the sparse path's speedup floor."""
-    failures = _check_event_sweep(current, args.min_event_speedup)
+    """Engine throughput, on the cell batch and on sparse input."""
+    failures = []
+    sweep_config = [
+        payload.get("density_sweep", {}).get("workload")
+        for payload in (baseline, current)
+    ]
+    if sweep_config[0] != sweep_config[1]:
+        print("WARN: BENCH_engine.json: density sweep configs differ; "
+              "skipping sparse throughput comparison")
+    else:
+        failures += _check_throughput(
+            "BENCH_engine.json",
+            "sparse_windows_per_second",
+            baseline,
+            current,
+            args.max_throughput_regression,
+        )
     keys = ("workload", "batch_size")
     if _config(baseline, keys) != _config(current, keys):
         print("WARN: BENCH_engine.json: workload configs differ; "
@@ -205,8 +207,24 @@ def _check_workers_sweep(current, spec):
 
 
 def check_serve(baseline, current, args):
-    """Serve throughput plus the absolute telemetry-overhead budget."""
+    """Serve throughput and admission cost, plus the absolute
+    telemetry-overhead budget."""
     failures = _check_workers_sweep(current, args.min_worker_scaling)
+    admission_config = [
+        payload.get("admission", {}).get("workload")
+        for payload in (baseline, current)
+    ]
+    if admission_config[0] != admission_config[1]:
+        print("WARN: BENCH_serve.json: admission workloads differ; "
+              "skipping admission cost comparison")
+    else:
+        failures += _check_cost(
+            "BENCH_serve.json",
+            "admission_ms_per_frame",
+            baseline,
+            current,
+            args.max_throughput_regression,
+        )
     for field in ("obs_overhead_fraction", "sharded_obs_overhead_fraction"):
         overhead = current.get(field)
         if isinstance(overhead, (int, float)):
@@ -335,11 +353,8 @@ def main() -> int:
     )
     parser.add_argument(
         "--max-throughput-regression", type=float, default=0.10,
-        help="allowed fractional throughput drop vs baseline (default 0.10)",
-    )
-    parser.add_argument(
-        "--min-event-speedup", type=float, default=3.0,
-        help="required speedup over forced-dense at <=10%% input density",
+        help="allowed fractional throughput drop (and admission cost "
+        "rise) vs baseline (default 0.10)",
     )
     parser.add_argument(
         "--max-obs-overhead", type=float, default=0.05,

@@ -18,7 +18,7 @@ Quick start::
         score = service.score(window_features, timeout_s=0.5)
 """
 
-from repro.serve.batcher import BatchPolicy, MicroBatcher, ServeRequest
+from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.cache import LruResultCache, content_key
 from repro.serve.loadgen import LoadReport, closed_loop
 from repro.serve.resilience import (
@@ -55,7 +55,6 @@ __all__ = [
     "NApproxCellModel",
     "ResilientExecutor",
     "RetryPolicy",
-    "ServeRequest",
     "ServiceBackedScorer",
     "ServiceStats",
     "ShardedInferenceService",

@@ -1,31 +1,30 @@
-"""Micro-batching: drain a bounded request queue into engine batches.
+"""Micro-batching: drain a bounded queue of row blocks into engine batches.
 
-The PR-1 batch engine amortises its per-tick cost across lanes, so
-serving throughput is maximised by coalescing concurrent single-window
-requests into one ``decision_function`` call. The policy is the classic
-two-knob micro-batcher: dispatch as soon as ``max_batch_size`` requests
-are waiting, or when the oldest collected request has waited
-``max_wait_ms`` — whichever comes first. Under light load a request pays
-at most ``max_wait_ms`` of coalescing latency; under heavy load batches
-fill instantly and the wait never triggers.
+The batch engine amortises its per-tick cost across lanes, so serving
+throughput is maximised by coalescing requests into one
+``decision_function`` call. The queued unit is a :class:`Block`: the
+rows one admission (a ``score_many`` slice or a ``submit``) could not
+answer from the cache. Dispatch as soon as ``max_batch_size`` rows are
+collected, or ``max_wait_ms`` after the first block was taken, whichever
+comes first. A block that does not fit is split, and its remainder
+heads the queue; it was left over from a full batch, so its wait counts
+from its admission instead.
 
 One refinement serves closed-loop callers. When a batch resolves the
-last request of a ``score_many`` call (a :class:`ScoreCall`), its caller
-is *released*: it is waking up to pick up its results and, in a closed
+last row of a ``score_many`` call (a :class:`ScoreCall`), its caller is
+*released*: it is waking up to pick up its results and, in a closed
 loop, to submit its next call. A batch collected meanwhile stays open
 until every released caller has picked up, and then for ``max_wait_ms``
-after the last pickup. Without this, callers released together by one
-batch race the wait against their own thread wake-ups, which take
-milliseconds on a loaded machine, and one late caller waits out a whole
-batch.
+after the last pickup, so callers released together by one batch do not
+race the wait against their own thread wake-ups.
 """
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,10 +36,10 @@ class BatchPolicy:
     """The two-knob micro-batching policy.
 
     Attributes:
-        max_batch_size: dispatch when this many requests are collected.
-        max_wait_ms: dispatch when the first collected request has
-            waited this long (0 disables coalescing: every drain takes
-            whatever is immediately available).
+        max_batch_size: dispatch when this many rows are collected.
+        max_wait_ms: dispatch this long after the first block was
+            taken (0 disables coalescing: every drain takes whatever is
+            immediately available).
     """
 
     max_batch_size: int = 32
@@ -57,61 +56,62 @@ class BatchPolicy:
             )
 
 
-@dataclass
-class ServeRequest:
-    """One in-flight scoring request.
-
-    Attributes:
-        features: the 1-D feature row to score.
-        future: resolved with the result (or an error) by the worker.
-        deadline: absolute :func:`time.monotonic` deadline, or ``None``.
-        cache_key: content key when caching is enabled, else ``None``.
-        enqueued_at: submission timestamp (for latency accounting).
-        trace_id: request trace id assigned at submission.
-        call: the ``score_many`` call this request belongs to, or
-            ``None`` for a bare ``submit``.
-    """
-
-    features: np.ndarray
-    future: Future = field(default_factory=Future)
-    deadline: Optional[float] = None
-    cache_key: Optional[bytes] = None
-    enqueued_at: float = 0.0
-    trace_id: str = ""
-    call: Optional["ScoreCall"] = None
-
-    def expired(self, now: float) -> bool:
-        """Whether the deadline has passed at time ``now``.
-
-        The boundary is inclusive: a request checked exactly at its
-        deadline is expired. "Deadlines enforced" means a result is only
-        delivered strictly before the deadline — with the old strict
-        ``>`` a request arriving at ``now == deadline`` was still
-        scored, so ``timeout_s=0`` submissions could complete.
-        """
-        return self.deadline is not None and now >= self.deadline
-
-
 #: Guards every :class:`ScoreCall` countdown and each batcher's release
-#: count; a sharded call's requests are scored by several batchers.
+#: count; a sharded call's blocks are scored by several batchers.
 _release_lock = threading.Lock()
 
 
 class ScoreCall:
-    """The queued requests of one ``score_many`` call, counted down.
+    """One admission's rows, counted down as their blocks resolve.
 
     Attributes:
-        pending: requests not yet resolved by a scored batch.
-        releaser: the batcher whose batch resolved the last of them, or
-            ``None`` while some are pending (for good if one failed or
-            expired in the queue).
+        values: one result per row, in row order; cache hits are filled
+            at admission, queued rows as their batches are scored.
+        pending: queued rows not yet resolved.
+        error: the first failure of any of its rows, or ``None``.
+        future: resolved once, when ``pending`` reaches 0, with
+            ``values`` (``values[0]`` for a ``submit``) or ``error``.
+        releaser: the batcher that resolved the last row of a
+            ``score_many`` call without error, else ``None``.
     """
 
-    __slots__ = ("pending", "releaser")
+    __slots__ = ("values", "pending", "error", "future", "single", "releaser")
 
-    def __init__(self) -> None:
+    def __init__(self, rows: int, single: bool = False) -> None:
+        self.values: List[Any] = [None] * rows
         self.pending = 0
+        self.error: Optional[BaseException] = None
+        self.future: Future = Future()
+        self.single = single
         self.releaser: Optional["MicroBatcher"] = None
+
+    def settle(self, rows: Sequence[int], values: Optional[Sequence[Any]] = None,
+               error: Optional[BaseException] = None,
+               releaser: Optional["MicroBatcher"] = None) -> None:
+        """Write a block's values (or note its ``error``) and count its
+        rows off; the last rows resolve :attr:`future`. ``releaser``, the
+        batcher that scored them, counts a ``score_many`` call completed
+        without error as released before its caller can wake."""
+        if error is None:
+            for row, value in zip(rows, values):
+                self.values[row] = value
+        with _release_lock:
+            if error is not None and self.error is None:
+                self.error = error
+            self.pending -= len(rows)
+            if self.pending:
+                return
+            if self.error is None and releaser is not None and not self.single:
+                self.releaser = releaser
+                releaser._released += 1
+        self.resolve()
+
+    def resolve(self) -> None:
+        """Resolve :attr:`future` from the rows' values or the error."""
+        if self.error is not None:
+            self.future.set_exception(self.error)
+        else:
+            self.future.set_result(self.values[0] if self.single else self.values)
 
     def picked_up(self) -> None:
         """The caller holds its results; no batch waits for it any more."""
@@ -119,49 +119,116 @@ class ScoreCall:
             self.releaser._picked_up()
 
 
-class MicroBatcher:
-    """Collects batches from a request queue under a :class:`BatchPolicy`.
+@dataclass(eq=False)
+class Block:
+    """Queued rows of one :class:`ScoreCall`.
 
-    The batcher owns only the *collection* logic; the service's one
-    dispatch thread per queue executes each batch it collects.
+    Attributes:
+        call: the admission the rows belong to.
+        rows: each row's index into ``call.values``.
+        matrix: the rows' ``(k, f)`` features.
+        keys: the rows' content keys, or ``None`` when none were needed.
+        trace_ids: the rows' trace ids.
+        deadline: absolute clock deadline of every row, or ``None``.
+        enqueued_at: admission time (for latencies, and for the wait of
+            a carried block).
+        carried: the remainder of a block split by a full batch; its
+            batch does not wait for company again (see :meth:`collect`).
+    """
+
+    call: ScoreCall
+    rows: Sequence[int]
+    matrix: np.ndarray
+    keys: Optional[List[bytes]]
+    trace_ids: List[str]
+    deadline: Optional[float]
+    enqueued_at: float
+    carried: bool = False
+
+    def __len__(self) -> int:
+        return len(self.trace_ids)
+
+    def select(self, index: Union[slice, Sequence[int]]) -> "Block":
+        """The block of the rows at ``index`` (a slice or positions)."""
+        if isinstance(index, slice):
+            def pick(items):
+                return items[index]
+        else:
+            def pick(items):
+                return [items[i] for i in index]
+        return Block(
+            self.call, pick(self.rows), self.matrix[index],
+            None if self.keys is None else pick(self.keys),
+            pick(self.trace_ids), self.deadline, self.enqueued_at, self.carried,
+        )
+
+    def expired(self, now: float) -> bool:
+        """Whether the deadline has passed at time ``now``.
+
+        The boundary is inclusive: a result is only delivered strictly
+        before the deadline, so a ``timeout_s=0`` submission never
+        completes.
+        """
+        return self.deadline is not None and now >= self.deadline
+
+
+class MicroBatcher:
+    """A bounded FIFO of row blocks, collected into batches under a policy.
+
+    Capacity and depth count rows. Admission, the only producer, checks
+    room (``capacity - rows``) before :meth:`put`; the service's one
+    dispatch thread per batcher executes each batch :meth:`collect`
+    returns.
 
     Args:
-        source: the bounded request queue.
+        capacity: the most rows the queue may hold.
         policy: batching policy.
-        on_expired: called with each request whose deadline lapsed while
-            it waited in the queue — such requests are dropped from the
+        on_expired: called with each block whose deadline lapsed while
+            it waited in the queue — such blocks are dropped from the
             batch (they never occupy a batch slot).
         clock: monotonic time source (injectable for tests).
     """
 
-    def __init__(
-        self,
-        source: "queue.Queue[ServeRequest]",
-        policy: BatchPolicy,
-        on_expired: Optional[Callable[[ServeRequest], None]] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.source = source
+    def __init__(self, capacity: int, policy: BatchPolicy,
+                 on_expired: Optional[Callable[[Block], None]] = None,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        self.capacity = capacity
+        self.rows = 0
         self.policy = policy
         self.on_expired = on_expired
         self.clock = clock
+        self._blocks: "deque[Block]" = deque()
+        self._ready = threading.Condition(threading.Lock())
         self._released = 0
         self._last_pickup = float("-inf")
 
-    def release(self, batch: List[ServeRequest]) -> None:
-        """Count a scored batch's requests off their ``score_many`` calls.
+    def put(self, block: Block) -> None:
+        """Queue ``block``."""
+        with self._ready:
+            self._blocks.append(block)
+            self.rows += len(block)
+            self._ready.notify()
 
-        Must run before the batch's futures are resolved, so a caller
-        can never pick up before its release is counted.
+    def take(self, limit: int, timeout: float = 0.0) -> Optional[Block]:
+        """Dequeue at most ``limit`` rows of the head block, or ``None``.
+
+        Waits up to ``timeout`` for a block. A head block of more than
+        ``limit`` rows is split, and its remainder stays at the head.
         """
-        with _release_lock:
-            for request in batch:
-                call = request.call
-                if call is not None:
-                    call.pending -= 1
-                    if call.pending == 0:
-                        call.releaser = self
-                        self._released += 1
+        with self._ready:
+            if not self._blocks and (
+                timeout <= 0 or not self._ready.wait_for(lambda: self._blocks, timeout)
+            ):
+                return None
+            block = self._blocks[0]
+            if len(block) > limit:
+                self._blocks[0] = rest = block.select(slice(limit, None))
+                rest.carried = True
+                block = block.select(slice(limit))
+            else:
+                self._blocks.popleft()
+            self.rows -= len(block)
+            return block
 
     def _picked_up(self) -> None:
         with _release_lock:
@@ -175,59 +242,54 @@ class MicroBatcher:
                 return self.clock() + budget
             return max(started, self._last_pickup) + budget
 
-    def _admit(self, request: ServeRequest, batch: List[ServeRequest]) -> None:
-        """Place ``request`` into ``batch`` or expire it on the spot."""
-        if request.expired(self.clock()):
+    def _admit(self, block: Block, batch: List[Block]) -> int:
+        """Place ``block`` into ``batch`` or expire it; rows placed."""
+        if block.expired(self.clock()):
             if self.on_expired is not None:
-                self.on_expired(request)
-        else:
-            batch.append(request)
+                self.on_expired(block)
+            return 0
+        batch.append(block)
+        return len(block)
 
-    def collect(self, block_s: float = 0.05) -> List[ServeRequest]:
-        """One batch of live requests (possibly empty).
+    def collect(self, block_s: float = 0.05) -> List[Block]:
+        """One batch of live blocks (possibly empty).
 
-        Blocks up to ``block_s`` for the first request; once one
-        arrives, keeps draining until the batch is full or the policy's
-        wait budget is spent, counted from the first request or from
-        the last pickup of a released caller, whichever is later, and
-        not running out while a released caller has yet to pick up.
-        Expired requests are handed to ``on_expired`` and never occupy
-        a slot.
+        Blocks up to ``block_s`` for the first block; once one arrives,
+        keeps draining until the batch holds ``max_batch_size`` rows or
+        the policy's wait budget is spent, counted from taking the first
+        block (from the admission of a carried one) or from the last
+        pickup of a released caller, whichever is later, and not running
+        out while a released caller has yet to pick up. Expired blocks
+        are handed to ``on_expired`` and never occupy a slot.
 
         Args:
-            block_s: how long to wait for a first request before giving
+            block_s: how long to wait for a first block before giving
                 up (keeps worker shutdown responsive).
 
         Returns:
-            Between 0 and ``max_batch_size`` unexpired requests.
+            Unexpired blocks of between 0 and ``max_batch_size`` rows in
+            all.
         """
-        batch: List[ServeRequest] = []
-        try:
-            first = self.source.get(timeout=block_s) if block_s > 0 else (
-                self.source.get_nowait()
-            )
-        except queue.Empty:
+        batch: List[Block] = []
+        room = self.policy.max_batch_size
+        first = self.take(room, block_s)
+        if first is None:
             return batch
-        self._admit(first, batch)
+        room -= self._admit(first, batch)
 
-        started = self.clock()
+        started = first.enqueued_at if first.carried else self.clock()
         budget = self.policy.max_wait_ms / 1e3
         close_at = started + budget
-        while len(batch) < self.policy.max_batch_size:
-            remaining = close_at - self.clock()
-            try:
-                if remaining <= 0:
-                    request = self.source.get_nowait()
-                else:
-                    request = self.source.get(timeout=remaining)
-            except queue.Empty:
+        while room > 0:
+            block = self.take(room, close_at - self.clock())
+            if block is None:
                 held = self._close_at(started, budget) if budget > 0 else close_at
                 if held <= close_at:
                     break
                 close_at = held
                 continue
-            self._admit(request, batch)
+            room -= self._admit(block, batch)
         return batch
 
 
-__all__ = ["BatchPolicy", "MicroBatcher", "ScoreCall", "ServeRequest"]
+__all__ = ["BatchPolicy", "Block", "MicroBatcher", "ScoreCall"]

@@ -12,7 +12,7 @@ provided the model is deterministic per window (see
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,11 +69,6 @@ class LruResultCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[bytes, Any]" = OrderedDict()
 
-    def lookup(self, key: bytes) -> Tuple[bool, Optional[Any]]:
-        """``(hit, value)`` for ``key``; a hit refreshes its recency."""
-        value = self.lookup_many((key,))[0]
-        return (False, None) if value is MISS else (True, value)
-
     def lookup_many(self, keys: Sequence[bytes]) -> List[Any]:
         """The cached value of each key, or :data:`MISS`, under one lock.
 
@@ -88,10 +83,6 @@ class LruResultCache:
                 out.append(value)
         return out
 
-    def put(self, key: bytes, value: Any) -> None:
-        """Insert (or refresh) ``key``, evicting the LRU entry if full."""
-        self.put_many(((key, value),))
-
     def put_many(self, items: Iterable[Tuple[bytes, Any]]) -> None:
         """Insert (or refresh) each ``(key, value)`` pair under one lock.
 
@@ -104,11 +95,6 @@ class LruResultCache:
                 self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        with self._lock:
-            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:

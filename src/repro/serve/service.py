@@ -4,15 +4,15 @@ Architecture (DESIGN.md §9)::
 
     score_many(chunk) / submit(row)
         │  (chunk sliced to at most queue_capacity rows)
-      admit ── one cache lookup ──> hits resolve at once
+      admit ── one cache lookup ──> hits fill the call's values
         │
-        └─ all misses ──> lane queue(s) ──> MicroBatcher ──> executor
-           (or QueueFullError,                                │
-            none enqueued)                              (n, f) batch
-                                                              │
-    Futures <── complete: one cache put_many, one observe_many┘
+        └─ misses, one block ──> lane queue(s) ──> MicroBatcher ──> executor
+           (or QueueFullError,   (block split     (packs and        │
+            none enqueued)        per shard)       splits blocks)  (n, f) batch
+                                                                    │
+    call wakes once <── complete: one cache put_many, one observe_many
 
-A *lane* is one bounded request queue, one
+A *lane* is one bounded queue of row blocks, one
 :class:`~repro.serve.batcher.MicroBatcher` and one dispatch thread; its
 executor turns the lane's ``(n, f)`` batch into results. In-process
 serving is one lane whose executor is a
@@ -24,23 +24,24 @@ with one lane per forked worker process, each executor a
 deadlines, retry, degraded mode, energy attribution, result fan-out
 and the automatic flight dump are this module's, once, for both.
 
-Concurrency model: callers submit from any thread. A ``score_many``
-chunk is admitted as one operation per slice of at most
-``queue_capacity`` rows (:meth:`InferenceService._admit`), and
-``submit`` is its one-row case. Backpressure is by rejection — a full
-queue raises :class:`~repro.errors.QueueFullError` at submission time
-instead of growing without bound — and every request may carry a
-deadline that is enforced both before batching (an expired request
-never occupies a batch slot) and after scoring (a result that arrives
-too late resolves to :class:`~repro.errors.DeadlineExceededError`,
-though its value still feeds the cache).
+Concurrency model: callers submit from any thread. Each ``score_many``
+slice of at most ``queue_capacity`` rows, and each ``submit`` row, is
+one admission (:meth:`InferenceService._admit`): one
+:class:`~repro.serve.batcher.ScoreCall` whose cache misses are queued
+as one :class:`~repro.serve.batcher.Block` and whose caller wakes once,
+when its last row resolves. Backpressure is by rejection — a queue
+without room for the block raises :class:`~repro.errors.QueueFullError`
+at submission time — and a block's deadline is enforced both before
+batching (an expired block never occupies a batch slot) and after
+scoring (late rows fail with :class:`~repro.errors.DeadlineExceededError`,
+though their values still feed the cache). Counters, queue depth and
+capacity, and the latency histogram all count rows.
 """
 
-import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from repro.errors import (
 from repro.obs import MetricsRegistry, event, observe_span, span, trace_log
 from repro.obs import hwcounters
 from repro.obs.ids import new_trace_ids
-from repro.serve.batcher import BatchPolicy, MicroBatcher, ScoreCall, ServeRequest
+from repro.serve.batcher import BatchPolicy, Block, MicroBatcher, ScoreCall
 from repro.serve.cache import MISS, LruResultCache, content_keys
 from repro.serve.resilience import (
     STATE_CODES,
@@ -81,7 +82,7 @@ def _resolve_batch_fn(model) -> BatchFunction:
 
 
 class _Lane:
-    """One bounded request queue, its batcher and its dispatch thread.
+    """One bounded block queue, its batcher and its dispatch thread.
 
     ``execute(matrix, trace_ids)`` scores one collected batch. ``shard``
     names the lane in its spans, events and hop counters; it is
@@ -91,11 +92,8 @@ class _Lane:
     def __init__(
         self, service: "InferenceService", execute, shard: Optional[int]
     ) -> None:
-        self.requests: "queue.Queue[ServeRequest]" = queue.Queue(
-            service._queue_capacity
-        )
         self.batcher = MicroBatcher(
-            self.requests,
+            service._queue_capacity,
             service.policy,
             on_expired=service._expire,
             clock=service._clock,
@@ -120,8 +118,8 @@ class InferenceService:
             ``decision_function`` (e.g. ``TrueNorthBinaryScorer``).
         max_batch_size: micro-batch dispatch threshold.
         max_wait_ms: micro-batch coalescing wait.
-        queue_capacity: bounded queue depth; submissions beyond it raise
-            :class:`QueueFullError`.
+        queue_capacity: bounded queue depth in rows; submissions beyond
+            it raise :class:`QueueFullError`.
         cache_capacity: LRU result-cache entries; 0 disables. The cache
             is also disabled (with a counted ``cache_disabled`` stat)
             when the model advertises ``cacheable = False`` — caching a
@@ -241,9 +239,7 @@ class InferenceService:
         else:
             executors = self._pool.executors(self, retry_policy)
         self._lanes = [_Lane(self, execute, shard) for shard, execute in executors]
-        self.stats.bind_queue(
-            lambda: sum(lane.requests.qsize() for lane in self._lanes)
-        )
+        self.stats.bind_queue(lambda: sum(lane.batcher.rows for lane in self._lanes))
         self._stop = threading.Event()
         self._started = False
         self._closed = False
@@ -278,7 +274,7 @@ class InferenceService:
 
         Args:
             drain: process everything already queued before exiting
-                (default). With ``drain=False`` still-queued requests
+                (default). With ``drain=False`` still-queued rows
                 are failed with :class:`ServiceClosedError`.
         """
         if self._closed:
@@ -287,14 +283,11 @@ class InferenceService:
         if not drain:
             for lane in self._lanes:
                 while True:
-                    try:
-                        request = lane.requests.get_nowait()
-                    except queue.Empty:
+                    block = lane.batcher.take(lane.batcher.capacity)
+                    if block is None:
                         break
-                    request.future.set_exception(
-                        ServiceClosedError("service closed before the request ran")
-                    )
-                    self.stats.count("rejected_closed")
+                    error = ServiceClosedError("service closed before the request ran")
+                    self._fail_block(block, "rejected_closed", error)
         self._stop.set()
         for lane in self._lanes:
             if lane.thread.is_alive():
@@ -337,7 +330,7 @@ class InferenceService:
             QueueFullError: the row's queue is at capacity.
             ValueError: ``features`` is not 1-D.
         """
-        return self._admit(features, timeout_s, ndim=1)[0]
+        return self._admit(features, timeout_s, ndim=1).future
 
     def score_many(
         self,
@@ -347,11 +340,12 @@ class InferenceService:
         """Score every row of ``(n, f)`` and gather results in order.
 
         Rows are admitted in slices of at most ``queue_capacity`` rows.
-        Each slice is one admission — every cache miss is queued, or
-        :class:`QueueFullError` is raised with none of that slice
-        queued — and the next slice is admitted once the previous one
-        has resolved, so a chunk larger than the queue still fits
-        through it. ``timeout_s`` runs from each slice's admission.
+        Each slice is one admission — its cache misses are queued as one
+        block, or :class:`QueueFullError` is raised with none of that
+        slice queued — and the next slice is admitted once the previous
+        one has resolved, so a chunk larger than the queue still fits
+        through it. ``timeout_s`` runs from each slice's admission. A
+        slice raises the first error any of its rows met.
         """
         return self._score_sliced(features, timeout_s)
 
@@ -368,10 +362,9 @@ class InferenceService:
         )
         results = []
         for piece in pieces:
-            call = ScoreCall()
-            futures = self._admit(piece, timeout_s, ndim=2, call=call)
+            call = self._admit(piece, timeout_s, ndim=2)
             try:
-                results.extend(future.result() for future in futures)
+                results.extend(call.future.result())
             finally:
                 call.picked_up()
         return np.asarray(results)
@@ -383,28 +376,23 @@ class InferenceService:
         return self.submit(features, timeout_s=timeout_s).result()
 
     def _admit(
-        self,
-        features: np.ndarray,
-        timeout_s: Optional[float],
-        ndim: int,
-        call: Optional[ScoreCall] = None,
-    ) -> List["Future"]:
+        self, features: np.ndarray, timeout_s: Optional[float], ndim: int
+    ) -> ScoreCall:
         """Admit a 1-D row (``ndim=1``) or an ``(n, f)`` chunk at once.
 
-        In one pass: mint the request ids, compute the content keys,
-        look every key up under one cache lock, bump each counter once,
-        and enqueue all of the chunk's misses — or raise
-        :class:`QueueFullError` having enqueued none of them. One
-        ``serve.submit`` span and one ``cache_hit`` / ``cache_miss``
-        event cover the chunk, plus one ``enqueue`` event per
-        target lane; each carries the ``trace_ids`` of the rows it
+        In one pass: mint the row trace ids, compute the content keys,
+        look every key up under one cache lock, write the hits into the
+        call's values, bump each counter once, and enqueue the misses
+        as one block — or raise :class:`QueueFullError` having enqueued
+        none of them. One ``serve.submit`` span and one ``cache_hit`` /
+        ``cache_miss`` event cover the chunk, plus one ``enqueue`` event
+        per target lane; each carries the ``trace_ids`` of the rows it
         concerns, so :func:`repro.obs.traces.assemble_traces` still
-        yields one trace per row. The queued misses are counted on
-        ``call`` (a ``score_many`` slice) so the batcher can tell when
-        its caller is released.
+        yields one trace per row.
 
         Returns:
-            One future per row, in row order.
+            The admission's call, whose future resolves once every
+            queued row has.
         """
         if self._closed or not self._started:
             raise ServiceClosedError(
@@ -417,117 +405,96 @@ class InferenceService:
             )
         matrix = array.reshape(1, -1) if ndim == 1 else array
         n = matrix.shape[0]
+        call = ScoreCall(n, single=ndim == 1)
         if n == 0:
-            return []
+            call.resolve()
+            return call
         stats = self.stats
         stats.count("submitted", n)
 
         now = self._clock()
         deadline = None if timeout_s is None else now + timeout_s
-        requests = [
-            ServeRequest(
-                features=row, deadline=deadline, enqueued_at=now, trace_id=trace_id
-            )
-            for row, trace_id in zip(matrix, new_trace_ids(n))
-        ]
-        with span(
-            "serve.submit",
-            registry=stats.registry,
-            trace_ids=[request.trace_id for request in requests],
-        ):
-            misses = requests
-            if self.cache is not None:
-                keys = content_keys(self.model_id, matrix)
-                for request, key in zip(requests, keys):
-                    request.cache_key = key
-                hits, misses = [], []
-                for request, value in zip(requests, self.cache.lookup_many(keys)):
-                    if value is MISS:
-                        misses.append(request)
-                    else:
-                        hits.append((request, value))
-                if hits:
+        trace_ids = new_trace_ids(n)
+        with span("serve.submit", registry=stats.registry, trace_ids=trace_ids):
+            keys = None if self.cache is None else content_keys(self.model_id, matrix)
+            block = Block(call, range(n), matrix, keys, trace_ids, deadline, now)
+            if keys is not None:
+                found = self.cache.lookup_many(keys)
+                misses = [row for row, value in enumerate(found) if value is MISS]
+                if len(misses) < n:
+                    hits = [row for row, value in enumerate(found) if value is not MISS]
+                    for row in hits:
+                        call.values[row] = found[row]
                     stats.count("cache_hits", len(hits))
                     stats.count("completed", len(hits))
                     stats.record_latencies([self._clock() - now] * len(hits))
-                    event(
-                        "cache_hit",
-                        trace_ids=[request.trace_id for request, _ in hits],
-                    )
-                    for request, value in hits:
-                        request.future.set_result(value)
+                    event("cache_hit", trace_ids=[trace_ids[row] for row in hits])
+                    block = block.select(misses)
                 if misses:
                     stats.count("cache_misses", len(misses))
-                    event(
-                        "cache_miss",
-                        trace_ids=[request.trace_id for request in misses],
-                    )
-            if misses:
-                if call is not None:
-                    call.pending = len(misses)
-                    for request in misses:
-                        request.call = call
-                self._enqueue(misses, timeout_s)
-        return [request.future for request in requests]
+                    event("cache_miss", trace_ids=block.trace_ids)
+            call.pending = len(block)
+            if block.trace_ids:
+                self._enqueue(block, timeout_s)
+            else:
+                call.resolve()
+        return call
 
-    def _route(
-        self, misses: List[ServeRequest]
-    ) -> List[Tuple[_Lane, List[ServeRequest]]]:
-        """``(lane, requests)`` parts for the misses, in lane order."""
-        if self._pool is None:
-            return [(self._lanes[0], misses)]
-        return [
-            (self._lanes[index], part)
-            for index, part in self._pool.route(self.model_id, misses)
-        ]
+    def _enqueue(self, block: Block, timeout_s: Optional[float]) -> None:
+        """Enqueue the block's rows on their routed lanes, or none of them.
 
-    def _enqueue(
-        self, misses: List[ServeRequest], timeout_s: Optional[float]
-    ) -> None:
-        """Enqueue every miss on its routed lane, or none of them.
-
-        :meth:`_admit` is the only producer on the request queues and
-        the batchers only remove requests, so room checked under the
+        :meth:`_admit` is the only producer on the block queues and
+        the batchers only remove rows, so room checked under the
         admission lock can only grow before the puts below it.
         """
-        parts = self._route(misses)
+        if self._pool is None:
+            parts = [(self._lanes[0], block)]
+        else:
+            parts = [
+                (self._lanes[index], part)
+                for index, part in self._pool.route(self.model_id, block)
+            ]
         with self._admit_lock:
             for lane, part in parts:
-                target = lane.requests
-                if target.qsize() + len(part) > target.maxsize:
-                    self.stats.count("rejected_queue_full", len(misses))
+                target = lane.batcher
+                if target.rows + len(part) > target.capacity:
+                    self.stats.count("rejected_queue_full", len(block))
                     event(
                         "queue_full",
-                        trace_ids=[request.trace_id for request in misses],
-                        capacity=target.maxsize,
+                        trace_ids=block.trace_ids,
+                        capacity=target.capacity,
                         **lane.labels,
                     )
                     name = "request" if lane.shard is None else f"shard {lane.shard}"
                     raise QueueFullError(
-                        f"{name} queue is at capacity ({target.maxsize}): "
+                        f"{name} queue is at capacity ({target.capacity}): "
                         f"no room for {len(part)} more rows"
                     )
             for lane, part in parts:
-                for request in part:
-                    lane.requests.put_nowait(request)
+                lane.batcher.put(part)
         for lane, part in parts:
             event(
                 "enqueue",
-                trace_ids=[request.trace_id for request in part],
+                trace_ids=part.trace_ids,
                 deadline_in_s=timeout_s,
                 queue_depth=self.stats.queue_depth,
                 **lane.labels,
             )
 
-    def _expire(self, request: ServeRequest) -> None:
-        """Fail a request whose deadline lapsed while it queued."""
-        self.stats.count("expired_before_batch")
-        event(
-            "deadline_expired", trace_id=request.trace_id, phase="queued"
-        )
-        request.future.set_exception(
-            DeadlineExceededError("deadline expired while queued")
-        )
+    def _fail_block(self, block: Block, counter: str, exc, kind=None, **attrs):
+        """Count ``block``'s rows on ``counter``, narrate each as a ``kind``
+        event, then fail them with ``exc``."""
+        self.stats.count(counter, len(block))
+        if kind is not None:
+            for trace_id in block.trace_ids:
+                event(kind, trace_id=trace_id, **attrs)
+        block.call.settle(block.rows, error=exc)
+
+    def _expire(self, block: Block) -> None:
+        """Fail a block whose deadline lapsed while it queued."""
+        error = DeadlineExceededError("deadline expired while queued")
+        self._fail_block(block, "expired_before_batch", error, "deadline_expired",
+                         phase="queued")
 
     # ------------------------------------------------------------------
     # Dispatch side (one thread per lane)
@@ -556,36 +523,29 @@ class InferenceService:
                 )
                 with span("serve.worker.execute", registry=registry):
                     self._run_batch(lane, batch)
-            elif self._stop.is_set() and lane.requests.empty():
+            elif self._stop.is_set() and not lane.batcher.rows:
                 return
 
-    def _fail_batch(self, batch: List[ServeRequest], exc: BaseException) -> None:
-        """Fail every request, narrate it, and trigger the auto-dump."""
-        self.stats.count("failed", len(batch))
-        error = f"{type(exc).__name__}: {exc}"
-        for request in batch:
-            event(
-                "request_failed", trace_id=request.trace_id, error=error
-            )
-            request.future.set_exception(exc)
+    def _fail_batch(self, batch: List[Block], exc: BaseException) -> None:
+        """Fail every row, narrate it, and trigger the auto-dump."""
+        for block in batch:
+            self._fail_block(block, "failed", exc, "request_failed",
+                             error=f"{type(exc).__name__}: {exc}")
         self._auto_flight_dump("request_failed")
 
-    def _run_batch(self, lane: _Lane, batch: List[ServeRequest]) -> None:
+    def _run_batch(self, lane: _Lane, batch: List[Block]) -> None:
         stats = self.stats
-        stats.record_batch(len(batch))
-        stats.count("windows_scored", len(batch))
-        trace_ids = [request.trace_id for request in batch]
-        event(
-            "batch_form", size=len(batch), trace_ids=trace_ids, **lane.labels
+        size = sum(len(block) for block in batch)
+        stats.record_batch(size)
+        stats.count("windows_scored", size)
+        trace_ids = [t for block in batch for t in block.trace_ids]
+        event("batch_form", size=size, trace_ids=trace_ids, **lane.labels)
+        matrix = batch[0].matrix if len(batch) == 1 else np.concatenate(
+            [block.matrix for block in batch]
         )
-        matrix = np.stack([request.features for request in batch])
         try:
-            with span(
-                lane.span,
-                registry=stats.registry,
-                trace_ids=trace_ids,
-                **lane.labels,
-            ):
+            with span(lane.span, registry=stats.registry, trace_ids=trace_ids,
+                      **lane.labels):
                 with hwcounters.collect() as activity:
                     results = np.asarray(lane.execute(matrix, trace_ids))
         except Exception as exc:  # a failed call fails the whole batch
@@ -594,47 +554,33 @@ class InferenceService:
             ):
                 self._fail_batch(batch, exc)
                 return
-            # Retries exhausted or breaker open: degrade.
-            stats.count("degraded", len(batch))
+            # Retries exhausted or breaker open: degrade. Degraded values
+            # never feed the cache — they are not the model's answer.
+            stats.count("degraded", size)
             event(
                 "degraded",
-                size=len(batch),
+                size=size,
                 trace_ids=trace_ids,
                 error=f"{type(exc).__name__}: {exc}",
                 **lane.labels,
             )
-            now = self._clock()
-            for request in batch:
-                # Degraded values never feed the cache — they are not the
-                # model's answer for this window.
-                if request.expired(now):
-                    stats.count("expired_after_batch")
-                    event(
-                        "deadline_expired", trace_id=request.trace_id, phase="scored"
-                    )
-                    request.future.set_exception(
-                        DeadlineExceededError("deadline expired during scoring")
-                    )
-                else:
-                    request.future.set_result(self._degraded_value)
-            return
-        if results.shape[0] != len(batch):
-            self._fail_batch(
-                batch,
-                ConfigurationError(
-                    f"model returned {results.shape[0]} rows for a batch of "
-                    f"{len(batch)}"
-                ),
+            self._complete(
+                lane.batcher, batch, [self._degraded_value] * size, degraded=True
             )
             return
+        if results.shape[0] != size:
+            self._fail_batch(batch, ConfigurationError(
+                f"model returned {results.shape[0]} rows for a batch of {size}"
+            ))
+            return
 
-        request_energy_nj = attribute_batch_energy(activity, len(batch))
+        request_energy_nj = attribute_batch_energy(activity, size)
         hw_totals = activity.totals() if activity.runs else None
         if hw_totals is not None:
             stats.record_hw_totals(hw_totals, shard=lane.shard)
         event(
             "score",
-            size=len(batch),
+            size=size,
             trace_ids=trace_ids,
             hw=hw_totals,
             energy_nj=(
@@ -644,55 +590,47 @@ class InferenceService:
             ),
             **lane.labels,
         )
-        self._complete(lane.batcher, batch, results, request_energy_nj)
-
-    def _complete(
-        self,
-        batcher: MicroBatcher,
-        batch: List[ServeRequest],
-        results: np.ndarray,
-        request_energy_nj: Optional[np.ndarray],
-    ) -> None:
-        """Resolve a scored batch: one cache put, one histogram update.
-
-        Every result feeds the cache (even one that arrives after its
-        deadline) and every request's energy is added to the energy
-        counter in request order, so the totals match scoring the rows
-        one at a time bit for bit. ``batcher``, which collected the
-        batch, counts the ``score_many`` calls it releases.
-        """
-        stats = self.stats
-        now = self._clock()
         if results.ndim == 1:
             values = np.asarray(results, dtype=np.float64).tolist()
         else:
             values = [np.array(row) for row in results]
         if self.cache is not None:
             self.cache.put_many(
-                (request.cache_key, value)
-                for request, value in zip(batch, values)
-                if request.cache_key is not None
+                zip((key for block in batch for key in block.keys), values)
             )
         if request_energy_nj is not None:
             stats.record_energies(request_energy_nj.tolist())
-        batcher.release(batch)
+        self._complete(lane.batcher, batch, values)
+
+    def _complete(self, batcher: MicroBatcher, batch: List[Block], values: List,
+                  degraded: bool = False) -> None:
+        """Write a batch's values into its calls, one block at a time.
+
+        Rows whose deadline passed meanwhile fail with
+        :class:`DeadlineExceededError` (scored values fed the cache
+        first); ``degraded`` fallback values are not counted as
+        completed. Counters are bumped before any caller wakes.
+        ``batcher`` counts the ``score_many`` calls it releases.
+        """
+        stats = self.stats
+        now = self._clock()
         done = []
-        for request, value in zip(batch, values):
-            if request.expired(now):
-                stats.count("expired_after_batch")
-                event(
-                    "deadline_expired", trace_id=request.trace_id, phase="scored"
-                )
-                request.future.set_exception(
-                    DeadlineExceededError("deadline expired during scoring")
-                )
+        start = 0
+        for block in batch:
+            stop = start + len(block)
+            if block.expired(now):
+                error = DeadlineExceededError("deadline expired during scoring")
+                self._fail_block(block, "expired_after_batch", error,
+                                 "deadline_expired", phase="scored")
             else:
-                done.append((request, value))
-        if done:
-            stats.count("completed", len(done))
-            stats.record_latencies([now - request.enqueued_at for request, _ in done])
-            for request, value in done:
-                request.future.set_result(value)
+                done.append((block, values[start:stop]))
+            start = stop
+        if done and not degraded:
+            latencies = [now - block.enqueued_at for block, _ in done for _ in block.rows]
+            stats.count("completed", len(latencies))
+            stats.record_latencies(latencies)
+        for block, part in done:
+            block.call.settle(block.rows, part, releaser=batcher)
 
 
 def attribute_batch_energy(
@@ -719,9 +657,9 @@ class ServiceBackedScorer:
 
     Lets a :class:`~repro.detection.pipeline.SlidingWindowDetector` (or
     anything else speaking ``decision_function``) transparently route
-    its window chunks through the service — each row becomes one
-    request, so windows from concurrent detectors coalesce into shared
-    engine batches.
+    its window chunks through the service — each chunk is one
+    ``score_many`` call whose cache misses queue as one block, so windows
+    from concurrent detectors coalesce into shared engine batches.
 
     Args:
         service: a started service whose model returns scalar scores.
@@ -735,7 +673,7 @@ class ServiceBackedScorer:
         self.timeout_s = timeout_s
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """Scores of a ``(n, f)`` matrix, one request per row."""
+        """Scores of a ``(n, f)`` matrix, served as one ``score_many`` call."""
         matrix = np.asarray(features, dtype=np.float64)
         if matrix.ndim == 1:
             matrix = matrix[None, :]

@@ -10,13 +10,13 @@ executor is the round trip to that worker::
     score_many(chunk) / submit(row)
         │
       admit ── cache? ──> HashRing ──> lane queues ──> MicroBatcher
-        │        │       (model_id,    (all misses       │
-        │        │        row key)      or none)    dispatch thread
-        │       hit                                      │
-        │        │                   ResilientExecutor: retry, shard
+        │        │       (splits the   (the block's      │
+        │        │        block by      parts, all  dispatch thread
+        │        │        row key)      or none)         │
+        │       hit                  ResilientExecutor: retry, shard
         │        │                   breaker, mp.Queue round trip
         │        │                                       │
-        └─ Futures <──── results, ledgers, energy ──── worker process
+        └─ the call <─── results, ledgers, energy ──── worker process
 
 Admission, the cache, deadlines, retry, degraded mode, energy
 attribution, result fan-out and the automatic flight dump are the
@@ -66,7 +66,7 @@ from repro.errors import (
     WorkerDiedError,
 )
 from repro.obs import MetricsRegistry, event, hwcounters, tracing
-from repro.serve.batcher import ServeRequest
+from repro.serve.batcher import Block
 from repro.serve.cache import content_key, content_keys
 from repro.serve.resilience import (
     STATE_CODES,
@@ -350,25 +350,20 @@ class ShardPool:
         for shard in self.shards:
             shard.terminate()
 
-    def route(
-        self, model_id: str, misses: List[ServeRequest]
-    ) -> List[Tuple[int, List[ServeRequest]]]:
-        """``(shard index, requests)`` parts for the misses, by shard."""
+    def route(self, model_id: str, block: Block) -> List[Tuple[int, Block]]:
+        """``(shard index, block)`` parts of a block of misses, by shard."""
         # The content key doubles as the routing key, so equal rows stay
         # on one shard even with the cache disabled (no key computed yet).
-        unkeyed = [request for request in misses if request.cache_key is None]
-        if unkeyed:
-            keys = content_keys(
-                model_id, np.stack([request.features for request in unkeyed])
-            )
-            for request, key in zip(unkeyed, keys):
-                request.cache_key = key
-        by_shard: Dict[int, List[ServeRequest]] = {}
-        for request in misses:
-            by_shard.setdefault(
-                self.ring.shard_for(request.cache_key), []
-            ).append(request)
-        return sorted(by_shard.items())
+        if block.keys is None:
+            block.keys = content_keys(model_id, block.matrix)
+        by_shard: Dict[int, List[int]] = {}
+        for position, key in enumerate(block.keys):
+            by_shard.setdefault(self.ring.shard_for(key), []).append(position)
+        if len(by_shard) == 1:
+            return [(shard, block) for shard in by_shard]
+        return [
+            (shard, block.select(rows)) for shard, rows in sorted(by_shard.items())
+        ]
 
     def _on_breaker_state(self, gauge, shard_index: int, state: str) -> None:
         # Fires only when circuit breaking is on, i.e. every shard has one.
@@ -542,7 +537,7 @@ class ShardedInferenceService(InferenceService):
     ) -> "Future":
         """Queue one row on its home shard (see
         :meth:`InferenceService.submit`)."""
-        return self._admit(features, timeout_s, ndim=1)[0]
+        return self._admit(features, timeout_s, ndim=1).future
 
     def score_many(
         self,
@@ -550,8 +545,9 @@ class ShardedInferenceService(InferenceService):
         timeout_s: Optional[float] = None,
     ) -> np.ndarray:
         """Score every row of ``(n, f)`` in order (see
-        :meth:`InferenceService.score_many`); each slice's misses are
-        queued on their home shards, all of them or none."""
+        :meth:`InferenceService.score_many`); each slice's block of
+        misses is split across its rows' home shards and queued whole
+        or not at all."""
         return self._score_sliced(features, timeout_s)
 
 

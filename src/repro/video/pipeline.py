@@ -2,10 +2,11 @@
 
 Each frame is decomposed into an image pyramid, every level's cell grid
 is pooled to the deployable feature width and swept into one row per
-detection window (:func:`pooled_window_rows`), the rows are fanned out
-as individual requests to an :class:`~repro.serve.InferenceService` (or
-its sharded variant), and the thresholded scores are reassembled into
-per-frame detections through the paper's greedy NMS.
+detection window (:func:`pooled_window_rows`), the rows are sent in
+``score_many`` chunks to an :class:`~repro.serve.InferenceService` (or
+its sharded variant), which queues each chunk's cache misses as one
+block, and the thresholded scores are reassembled into per-frame
+detections through the paper's greedy NMS.
 
 Levels are scored **coarsest first**. That ordering is what makes the
 per-frame deadline budget degrade gracefully: when the budget runs out

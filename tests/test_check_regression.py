@@ -215,6 +215,48 @@ class TestWarnAndPass:
         assert "skipping" in capsys.readouterr().out
 
 
+class TestSparseAndAdmissionGates:
+    """The engine's sparse-input throughput and the serve tier's
+    admission cost are gated against the committed baseline."""
+
+    SPARSE = {
+        **ENGINE,
+        "density_sweep": {"workload": {"kind": "sparse-chain", "cores": 128}},
+        "sparse_windows_per_second": 200.0,
+    }
+    ADMISSION = {
+        **SERVE,
+        "admission": {"workload": {"rows_per_frame": 887, "rows_per_call": 128}},
+        "admission_ms_per_frame": 6.0,
+    }
+
+    def test_sparse_throughput_drop_fails(self, tmp_path, capsys):
+        current = {**self.SPARSE, "sparse_windows_per_second": 170.0}
+        assert _run(tmp_path, {"engine": self.SPARSE}, {"engine": current}) == 1
+        assert "sparse_windows_per_second regressed" in capsys.readouterr().err
+
+    def test_sparse_gate_skips_another_sweep(self, tmp_path, capsys):
+        current = {
+            **self.SPARSE,
+            "density_sweep": {"workload": {"kind": "sparse-chain", "cores": 64}},
+            "sparse_windows_per_second": 1.0,
+        }
+        assert _run(tmp_path, {"engine": self.SPARSE}, {"engine": current}) == 0
+        assert "density sweep configs differ" in capsys.readouterr().out
+
+    def test_admission_cost_rise_fails(self, tmp_path, capsys):
+        current = {**self.ADMISSION, "admission_ms_per_frame": 7.0}
+        assert _run(tmp_path, {"serve": self.ADMISSION}, {"serve": current}) == 1
+        assert "admission_ms_per_frame rose" in capsys.readouterr().err
+
+    def test_admission_cost_within_ceiling_or_lower_passes(self, tmp_path):
+        for cost in (6.5, 3.0):
+            current = {**self.ADMISSION, "admission_ms_per_frame": cost}
+            assert _run(
+                tmp_path, {"serve": self.ADMISSION}, {"serve": current}
+            ) == 0
+
+
 class TestAgainstCommittedBaselines:
     def test_committed_baselines_self_compare_clean(self, capsys):
         """The gate must pass when current == the committed baselines."""

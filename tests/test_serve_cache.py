@@ -51,52 +51,38 @@ class TestLruResultCache:
     def test_miss_then_hit(self):
         cache = LruResultCache(4)
         key = content_key("m", np.zeros(2))
-        hit, _ = cache.lookup(key)
-        assert not hit
-        cache.put(key, 1.5)
-        hit, value = cache.lookup(key)
-        assert hit and value == 1.5
+        assert cache.lookup_many([key]) == [MISS]
+        cache.put_many([(key, 1.5)])
+        assert cache.lookup_many([key]) == [1.5]
 
     def test_capacity_evicts_least_recent(self):
         cache = LruResultCache(2)
         keys = [content_key("m", np.full(2, i)) for i in range(3)]
-        cache.put(keys[0], 0)
-        cache.put(keys[1], 1)
-        cache.lookup(keys[0])  # refresh 0; 1 becomes LRU
-        cache.put(keys[2], 2)
-        assert cache.lookup(keys[0])[0]
-        assert not cache.lookup(keys[1])[0]
-        assert cache.lookup(keys[2])[0]
+        cache.put_many([(keys[0], 0), (keys[1], 1)])
+        cache.lookup_many([keys[0]])  # refresh 0; 1 becomes LRU
+        cache.put_many([(keys[2], 2)])
+        assert cache.lookup_many(keys) == [0, MISS, 2]
         assert len(cache) == 2
 
     def test_put_refreshes_existing_entry(self):
         cache = LruResultCache(2)
         key = content_key("m", np.zeros(2))
-        cache.put(key, 1)
-        cache.put(key, 2)
+        cache.put_many([(key, 1)])
+        cache.put_many([(key, 2)])
         assert len(cache) == 1
-        assert cache.lookup(key)[1] == 2
+        assert cache.lookup_many([key]) == [2]
 
     def test_batched_calls_match_one_at_a_time(self):
         keys = [bytes([i]) for i in range(6)]
         batched, single = LruResultCache(4), LruResultCache(4)
         batched.put_many((key, i) for i, key in enumerate(keys))
         for i, key in enumerate(keys):
-            single.put(key, i)
+            single.put_many([(key, i)])
         probe = [keys[0], keys[3], keys[5], keys[3]]
         assert batched.lookup_many(probe) == [
-            value if hit else MISS
-            for hit, value in (single.lookup(key) for key in probe)
+            single.lookup_many([key])[0] for key in probe
         ]
         assert list(batched._entries) == list(single._entries)
-
-    def test_clear_drops_every_entry(self):
-        cache = LruResultCache(2)
-        key = content_key("m", np.zeros(2))
-        cache.put(key, 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.lookup_many([key]) == [MISS]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):

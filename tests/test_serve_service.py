@@ -414,7 +414,11 @@ class TestChunkAdmission:
             ):
                 assert time.monotonic() < deadline, "producers never settled"
                 time.sleep(0.01)
-            queued = [request.features[0] for request in service._lanes[0].requests.queue]
+            queued = [
+                row[0]
+                for block in service._lanes[0].batcher._blocks
+                for row in block.matrix
+            ]
             assert len(queued) == 6
             for c in set(queued):
                 assert queued.count(c) == 3  # a chunk is queued whole

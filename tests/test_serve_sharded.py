@@ -369,11 +369,12 @@ class TestShardedChunkAdmission:
             row.tobytes(): c for c, chunk in enumerate(chunks) for row in chunk
         }
         queued = [
-            owner[request.features.tobytes()]
+            owner[row.tobytes()]
             for lane in service._lanes
-            for request in lane.requests.queue
+            for block in lane.batcher._blocks
+            for row in block.matrix
         ]
-        assert all(lane.requests.qsize() <= 4 for lane in service._lanes)
+        assert all(lane.batcher.rows <= 4 for lane in service._lanes)
         for c in set(queued):
             assert queued.count(c) == 3  # a chunk is queued whole
         assert service.stats.counter("rejected_queue_full") == 24 - len(queued)
@@ -459,10 +460,8 @@ class TestShardedChunkAdmission:
             set(home)
         )
         for event in enqueues:
-            queued = service._lanes[event.attrs["shard"]].requests.queue
-            assert [request.trace_id for request in queued] == (
-                event.attrs["trace_ids"]
-            )
+            (queued,) = service._lanes[event.attrs["shard"]].batcher._blocks
+            assert queued.trace_ids == event.attrs["trace_ids"]
         busiest = max(set(home), key=home.count)
         with pytest.raises(QueueFullError, match=f"shard {busiest} queue"):
             service.score_many(rows[[home.index(busiest)] * 5])
