@@ -72,6 +72,7 @@ ADMISSION_WORKLOAD = {
     "max_batch_size": 64,
     "cache_capacity": 8192,
     "frames_per_repeat": 30,
+    "repeats": 7,
 }
 
 
@@ -79,7 +80,7 @@ def _zero_cost_model(matrix):
     return np.zeros(len(matrix))
 
 
-def run_admission(repeats: int) -> dict:
+def run_admission() -> dict:
     """The ``admission`` payload: the per-frame cost of serving itself.
 
     Every repeat is a fresh service scoring ``frames_per_repeat``
@@ -91,7 +92,7 @@ def run_admission(repeats: int) -> dict:
     w = ADMISSION_WORKLOAD
     rng = np.random.default_rng(3)
     per_repeat = []
-    for _ in range(repeats):
+    for _ in range(w["repeats"]):
         service = InferenceService(
             _zero_cost_model,
             max_batch_size=w["max_batch_size"],
@@ -108,7 +109,7 @@ def run_admission(repeats: int) -> dict:
                 if frame >= 2:
                     frame_seconds.append(time.perf_counter() - started)
         per_repeat.append(statistics.median(frame_seconds) * 1e3)
-    quartiles = statistics.quantiles(per_repeat, n=4) if repeats > 1 else [0, 0, 0]
+    quartiles = statistics.quantiles(per_repeat, n=4)
     return {
         "workload": w,
         "median_ms": statistics.median(per_repeat),
@@ -450,12 +451,12 @@ def run_bench(args) -> int:
         "includes cross-process span + metrics-delta shipping)"
     )
 
-    admission = run_admission(args.admission_repeats)
+    admission = run_admission()
     print(
         f"admission: {admission['median_ms']:.2f} ms per "
         f"{ADMISSION_WORKLOAD['rows_per_frame']}-row frame around a "
         f"zero-cost model (IQR {admission['iqr_ms']:.2f} ms over "
-        f"{args.admission_repeats} repeats)"
+        f"{ADMISSION_WORKLOAD['repeats']} repeats)"
     )
 
     sweep = None
@@ -550,11 +551,6 @@ def main() -> int:
         help="the timed on/off arms score this multiple of --requests "
         "(averaging over enough batch cycles to separate a few-percent "
         "telemetry cost from batch-formation noise)",
-    )
-    parser.add_argument(
-        "--admission-repeats", type=int, default=7,
-        help="fresh services timed for admission_ms_per_frame (median "
-        "and IQR over them)",
     )
     parser.add_argument(
         "--workers-sweep", action="store_true",

@@ -133,7 +133,7 @@ class Block:
         enqueued_at: admission time (for latencies, and for the wait of
             a carried block).
         carried: the remainder of a block split by a full batch; its
-            batch does not wait for company again (see :meth:`collect`).
+            batch counts the wait from its admission (see ``collect``).
     """
 
     call: ScoreCall

@@ -8,6 +8,7 @@ through one forked shard worker.
 """
 
 import math
+import sys
 import threading
 import time
 
@@ -166,3 +167,44 @@ class TestBlockAdmission:
         assert len(set(blocks)) > 1  # rows differ, so order is checked
         assert blocks == one_by_one
         assert block_total == row_total > 0
+
+    def test_concurrent_calls_split_across_batches_stay_whole(self, mode):
+        """Eight callers race slices of 1-150 rows through 16-row
+        batches with the interpreter switching threads constantly: every
+        call gets its own rows' scores in order, and nothing is left
+        queued, pending or counted twice."""
+        rng = np.random.default_rng(33)
+        work = [
+            [rng.random((int(n), 3)) for n in rng.integers(1, 151, size=6)]
+            for _ in range(8)
+        ]
+        results = {}
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _service(
+                mode, _affine, max_batch_size=16, max_wait_ms=0.5,
+                queue_capacity=2048, cache_capacity=0,
+            ) as service:
+
+                def caller(c):
+                    results[c] = [service.score_many(rows) for rows in work[c]]
+
+                threads = [
+                    threading.Thread(target=caller, args=(c,)) for c in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert service.stats.queue_depth == 0
+                assert all(lane.batcher._released == 0 for lane in service._lanes)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        for c in range(8):
+            for rows, served in zip(work[c], results[c]):
+                np.testing.assert_array_equal(served, _affine(rows))
+        total = sum(len(rows) for slices in work for rows in slices)
+        assert service.stats.counter("completed") == total
+        assert service.stats.counter("windows_scored") == total
