@@ -22,9 +22,7 @@ how the no-observer overhead stays inside the serving benchmark's 5%
 budget (DESIGN.md §10).
 """
 
-import functools
 import math
-import operator
 import re
 import threading
 from bisect import bisect_left
@@ -302,30 +300,15 @@ class HistogramMetric:
     def observe_many(self, values: Iterable[float]) -> None:
         """Record every value, in order, under one lock acquisition.
 
-        Equivalent to calling :meth:`observe` once per (non-NaN) value:
-        the running sum adds the values in the same order, so it is
+        Equivalent to calling :meth:`observe` once per value: the
+        running sum adds the values in the same order, so it is
         bit-identical to the one-at-a-time path.
         """
-        raw = list(values)
-        if not raw:
-            return
-        points = [float(value) for value in raw]
-        bounds = self._bounds
-        indices = [bisect_left(bounds, v) for v in points]
-        low, high = min(points), max(points)
+        points = [(float(value), value) for value in values]
+        indices = [bisect_left(self._bounds, v) for v, _ in points]
         with self._lock:
-            counts = self._bucket_counts
-            for index in indices:
-                counts[index] += 1
-            self._count += len(points)
-            self._sum = functools.reduce(operator.add, points, self._sum)
-            if low < self._min:
-                self._min = low
-            if high > self._max:
-                self._max = high
-            self._reservoir.extend(points)
-            if self._values is not None:
-                self._values.update(raw)
+            for index, (v, value) in zip(indices, points):
+                self._record(index, v, value)
 
     def _record(self, index: int, v: float, value: float) -> None:
         """Fold one observation in (caller holds the lock)."""

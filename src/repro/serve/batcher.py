@@ -7,8 +7,7 @@ rows one admission (a ``score_many`` slice or a ``submit``) could not
 answer from the cache. Dispatch as soon as ``max_batch_size`` rows are
 collected, or ``max_wait_ms`` after the first block was taken, whichever
 comes first. A block that does not fit is split, and its remainder
-heads the queue; it was left over from a full batch, so its wait counts
-from its admission instead.
+heads the queue.
 
 One refinement serves closed-loop callers. When a batch resolves the
 last row of a ``score_many`` call (a :class:`ScoreCall`), its caller is
@@ -130,10 +129,7 @@ class Block:
         keys: the rows' content keys, or ``None`` when none were needed.
         trace_ids: the rows' trace ids.
         deadline: absolute clock deadline of every row, or ``None``.
-        enqueued_at: admission time (for latencies, and for the wait of
-            a carried block).
-        carried: the remainder of a block split by a full batch; its
-            batch counts the wait from its admission (see ``collect``).
+        enqueued_at: admission time (for latencies).
     """
 
     call: ScoreCall
@@ -143,7 +139,6 @@ class Block:
     trace_ids: List[str]
     deadline: Optional[float]
     enqueued_at: float
-    carried: bool = False
 
     def __len__(self) -> int:
         return len(self.trace_ids)
@@ -159,7 +154,7 @@ class Block:
         return Block(
             self.call, pick(self.rows), self.matrix[index],
             None if self.keys is None else pick(self.keys),
-            pick(self.trace_ids), self.deadline, self.enqueued_at, self.carried,
+            pick(self.trace_ids), self.deadline, self.enqueued_at,
         )
 
     def expired(self, now: float) -> bool:
@@ -222,8 +217,7 @@ class MicroBatcher:
                 return None
             block = self._blocks[0]
             if len(block) > limit:
-                self._blocks[0] = rest = block.select(slice(limit, None))
-                rest.carried = True
+                self._blocks[0] = block.select(slice(limit, None))
                 block = block.select(slice(limit))
             else:
                 self._blocks.popleft()
@@ -257,10 +251,10 @@ class MicroBatcher:
         Blocks up to ``block_s`` for the first block; once one arrives,
         keeps draining until the batch holds ``max_batch_size`` rows or
         the policy's wait budget is spent, counted from taking the first
-        block (from the admission of a carried one) or from the last
-        pickup of a released caller, whichever is later, and not running
-        out while a released caller has yet to pick up. Expired blocks
-        are handed to ``on_expired`` and never occupy a slot.
+        block or from the last pickup of a released caller, whichever is
+        later, and not running out while a released caller has yet to
+        pick up. Expired blocks are handed to ``on_expired`` and never
+        occupy a slot.
 
         Args:
             block_s: how long to wait for a first block before giving
@@ -277,7 +271,7 @@ class MicroBatcher:
             return batch
         room -= self._admit(first, batch)
 
-        started = first.enqueued_at if first.carried else self.clock()
+        started = self.clock()
         budget = self.policy.max_wait_ms / 1e3
         close_at = started + budget
         while room > 0:

@@ -609,8 +609,9 @@ class InferenceService:
         Rows whose deadline passed meanwhile fail with
         :class:`DeadlineExceededError` (scored values fed the cache
         first); ``degraded`` fallback values are not counted as
-        completed. Counters are bumped before any caller wakes.
-        ``batcher`` counts the ``score_many`` calls it releases.
+        completed and release no caller. Counters are bumped before any
+        caller wakes. ``batcher`` counts the ``score_many`` calls it
+        releases.
         """
         stats = self.stats
         now = self._clock()
@@ -629,8 +630,9 @@ class InferenceService:
             latencies = [now - block.enqueued_at for block, _ in done for _ in block.rows]
             stats.count("completed", len(latencies))
             stats.record_latencies(latencies)
+        releaser = None if degraded else batcher
         for block, part in done:
-            block.call.settle(block.rows, part, releaser=batcher)
+            block.call.settle(block.rows, part, releaser=releaser)
 
 
 def attribute_batch_energy(

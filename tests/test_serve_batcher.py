@@ -99,23 +99,6 @@ class TestMicroBatcher:
         assert _calls(batches[2]) == [big.call, small.call]
         assert batcher.rows == 0
 
-    def test_a_carried_remainder_does_not_wait_again(self):
-        """The remainder of a block split by a full batch has waited
-        since its admission; its batch closes once the queue is drained.
-        A fresh block is held for the whole wait."""
-        big = _block(rows=6)
-        big.enqueued_at = time.monotonic() - 1.0
-        batcher = _batcher([big], BatchPolicy(max_batch_size=4, max_wait_ms=100.0))
-        assert [len(block) for block in batcher.collect(block_s=0.01)] == [4]
-        started = time.monotonic()
-        (rest,) = batcher.collect(block_s=0.01)
-        assert time.monotonic() - started < 0.05
-        assert rest.carried and list(rest.rows) == [4, 5]
-        batcher.put(_block())
-        started = time.monotonic()
-        assert len(batcher.collect(block_s=0.01)) == 1
-        assert time.monotonic() - started >= 0.1 - 1e-3
-
     def test_zero_wait_takes_only_available(self):
         blocks = [_block(), _block()]
         batcher = _batcher(

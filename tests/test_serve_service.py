@@ -12,6 +12,7 @@ from repro.errors import (
     DeadlineExceededError,
     QueueFullError,
     ServiceClosedError,
+    TransientScorerError,
 )
 from repro.serve import InferenceService, ServiceBackedScorer, closed_loop
 from repro.serve.loadgen import LoadReport
@@ -549,6 +550,31 @@ class TestReleasedCallers:
         finally:
             model.release.set()
             service.close()
+
+    def test_degraded_calls_are_never_released(self, monkeypatch):
+        """A slice answered with the degraded fallback value is not
+        counted as released, so no batch holds for its caller."""
+        from repro.serve.batcher import ScoreCall
+
+        releasers = []
+        picked_up = ScoreCall.picked_up
+
+        def record(call):
+            releasers.append(call.releaser)
+            picked_up(call)
+
+        monkeypatch.setattr(ScoreCall, "picked_up", record)
+
+        def down(matrix):
+            raise TransientScorerError("down")
+
+        with InferenceService(
+            down, max_batch_size=4, cache_capacity=0, degraded_value=-1.0
+        ) as service:
+            scores = service.score_many(np.ones((6, 2)))
+            assert service._lanes[0].batcher._last_pickup == float("-inf")
+        assert scores.tolist() == [-1.0] * 6
+        assert releasers == [None]
 
 class TestLoadGenerator:
     def test_hundred_concurrent_requests_all_accounted(self):
