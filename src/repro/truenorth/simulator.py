@@ -52,10 +52,8 @@ class Simulator:
     Two engines back the same API. The ``batch`` engine (the default,
     :mod:`repro.truenorth.engine`) compiles the system into compact
     arrays holding only its live neurons and axons and evaluates whole
-    batches of input windows at once; each tick either advances every
-    core or, when few cores have work, only the range of cores a spike
-    reached or whose potentials have not settled. The ``reference`` engine advances one core at a time
-    through :meth:`NeurosynapticCore.tick`; it is the tick-accurate
+    batches of input windows at once, advancing every live neuron each
+    tick. The ``reference`` engine advances one core at a time through :meth:`NeurosynapticCore.tick`; it is the tick-accurate
     oracle the conformance suite and the golden fixtures hold the batch
     engine to, bit for bit. Single-lane :meth:`run` results are
     bit-identical across engines for the same ``rng``; :meth:`run_batch`

@@ -10,11 +10,8 @@ their seed so the reference engine, the batch engine, and the checked-in
 golden traces all see the identical system.
 """
 
-import contextlib
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
-from unittest import mock
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -25,41 +22,18 @@ from repro.corelets.library.pattern_match import (
     gradient_templates,
 )
 from repro.corelets.library.weighted_sum import NeuronMode, WeightedSumCorelet
-from repro.truenorth import engine as batch_engine
 from repro.truenorth.system import NeurosynapticSystem
 from repro.truenorth.types import NeuronParameters, ResetMode
 
-#: The three ways the batch engine runs, each differentially tested
-#: against "reference": "batch" picks the tick path per tick, "dense"
-#: forces the dense path, "event" forces the sparse, event-driven path.
-BATCH_MODES: Tuple[str, ...] = ("batch", "dense", "event")
+#: The compiled engines, each differentially tested against "reference".
+BATCH_MODES: Tuple[str, ...] = ("batch",)
 
-#: The reference and every batch-engine mode.
+#: The reference and every compiled engine.
 ALL_MODES: Tuple[str, ...] = ("reference",) + BATCH_MODES
 
-#: The crossover each forced mode pins (``_SPARSE_BELOW`` in
-#: :mod:`repro.truenorth.engine`): 0 never goes sparse, inf always does.
-_FORCED_CROSSOVER = {"dense": 0.0, "event": math.inf}
-
-#: Input spike densities the conformance matrix sweeps: silent, sparse
-#: (the sparse path's home turf), realistic, dense, and saturated.
+#: Input spike densities the conformance matrix sweeps: silent, sparse,
+#: realistic, dense, and saturated.
 DENSITIES: Tuple[float, ...] = (0.0, 0.01, 0.1, 0.5, 1.0)
-
-
-@contextlib.contextmanager
-def engine_mode(mode: str) -> Iterator[str]:
-    """Run the batch engine in ``mode`` for the block.
-
-    ``mode`` is ``"reference"`` or one of :data:`BATCH_MODES`; yields
-    the ``Simulator`` engine name to construct with.
-    """
-    if mode not in _FORCED_CROSSOVER:
-        yield mode
-        return
-    with mock.patch.object(
-        batch_engine, "_SPARSE_BELOW", _FORCED_CROSSOVER[mode]
-    ):
-        yield "batch"
 
 
 @dataclass(frozen=True)
@@ -304,7 +278,6 @@ __all__ = [
     "ENGINE_CASES",
     "EngineCase",
     "batched_inputs",
-    "engine_mode",
     "random_system",
     "shared_inputs",
 ]

@@ -24,8 +24,6 @@ from repro.serve import (
     random_patch_rows,
 )
 
-from tests.engine_systems import engine_mode
-
 
 def _small_scorer(coding="content", engine="batch"):
     network = EednNetwork(
@@ -86,33 +84,6 @@ class TestScorerDifferential:
             assert svc.stats.counter("cache_hits") == 30
         np.testing.assert_array_equal(direct, served)
 
-    def test_stream_coding_disables_the_cache(self):
-        scorer = _small_scorer(coding="stream")
-        assert not scorer.cacheable
-        service = InferenceService(scorer, cache_capacity=128)
-        assert service.cache is None
-
-
-class TestEventEngineDifferential:
-    """The sparse, event-driven tick path through the serving stack.
-
-    With the batch engine forced onto its sparse path, served scores,
-    cache identity, and attributed energy must match the dense path
-    byte for byte — the tick path (like the engine) is an
-    implementation detail the serving layer and its cache must be
-    unable to observe.
-    """
-
-    def test_served_scores_bit_identical_to_batch(self):
-        rows = np.random.default_rng(5).random((30, 8))
-        with engine_mode("dense"):
-            direct_dense = _small_scorer().decision_function(rows)
-        with engine_mode("event"), InferenceService(
-            _small_scorer(), max_batch_size=8, max_wait_ms=1.0
-        ) as svc:
-            served_sparse = svc.score_many(rows)
-        np.testing.assert_array_equal(direct_dense, served_sparse)
-
     def test_cache_keys_match_batch_engine(self):
         """model_id excludes the engine, so caches are shared across it."""
         batch_scorer = _small_scorer()
@@ -120,61 +91,11 @@ class TestEventEngineDifferential:
         assert reference_scorer.model_id == batch_scorer.model_id
         assert reference_scorer.cacheable and batch_scorer.cacheable
 
-    def test_cache_hits_are_bit_identical(self):
-        rows = np.random.default_rng(6).random((10, 8))
-        duplicated = np.vstack([rows, rows, rows])
-        with engine_mode("dense"):
-            direct = _small_scorer().decision_function(duplicated)
-        with engine_mode("event"), InferenceService(
-            _small_scorer(), max_batch_size=4
-        ) as svc:
-            svc.score_many(rows)  # warm the cache deterministically
-            served = svc.score_many(duplicated)
-            assert svc.stats.counter("cache_hits") == 30
-        np.testing.assert_array_equal(direct, served)
-
-    def test_served_energy_attribution_matches_batch(self):
-        """The service's per-request energy ledger agrees exactly.
-
-        Counter parity makes the per-lane ledgers bit-identical and
-        per-lane energy is independent of micro-batch composition, so
-        the attributed totals must match to the bit even though the
-        tick paths differ.
-        """
-        rows = np.random.default_rng(8).random((12, 8))
-        totals = {}
-        for mode in ("dense", "event"):
-            with engine_mode(mode), InferenceService(
-                _small_scorer(), max_batch_size=4, max_wait_ms=1.0
-            ) as svc:
-                svc.score_many(rows)
-                snapshot = svc.stats.snapshot()
-            assert snapshot["energy_nj"]["count"] == len(rows)
-            totals[mode] = snapshot["energy_nj"]["total"]
-        assert totals["dense"] > 0
-        assert totals["event"] == totals["dense"]
-
-    def test_detector_through_service_matches_batch(self):
-        image = np.random.default_rng(9).random((40, 40))
-
-        def build(active_scorer):
-            return SlidingWindowDetector(
-                _TinyExtractor(),
-                active_scorer,
-                feature_mode="cells",
-                window_shape=(16, 16),
-                score_threshold=-1e9,
-                chunk_size=5,
-            )
-
-        with engine_mode("dense"):
-            direct = build(_small_scorer()).detect(image)
-        with engine_mode("event"), InferenceService(
-            _small_scorer(), max_batch_size=8, max_wait_ms=1.0
-        ) as svc:
-            served = build(ServiceBackedScorer(svc)).detect(image)
-        assert direct == served
-        assert len(direct) > 0
+    def test_stream_coding_disables_the_cache(self):
+        scorer = _small_scorer(coding="stream")
+        assert not scorer.cacheable
+        service = InferenceService(scorer, cache_capacity=128)
+        assert service.cache is None
 
 
 class TestDetectorDifferential:

@@ -146,17 +146,14 @@ class TestLaneGenerators:
         monkeypatch.setattr(simulator_module, "spawn_generators", spawn)
         return calls
 
-    @pytest.mark.parametrize("engine", ["batch", "event"], indirect=True)
-    def test_deterministic_system_never_spawns(self, monkeypatch, engine):
+    def test_deterministic_system_never_spawns(self, monkeypatch):
         from tests.engine_systems import CASES_BY_NAME, batched_inputs
 
         calls = self._counting_spawn(monkeypatch)
         case = CASES_BY_NAME["random_deterministic"]
         system = case.build()
         inputs = batched_inputs(system, case.ticks, 4, seed=1, density=0.3)
-        lazy = Simulator(system, rng=case.sim_seed, engine=engine).run_batch(
-            case.ticks, inputs
-        )
+        lazy = Simulator(system, rng=case.sim_seed).run_batch(case.ticks, inputs)
         assert calls == []
         # Same rasters as the reference, which always spawns per lane.
         reference = Simulator(
@@ -168,15 +165,12 @@ class TestLaneGenerators:
         for name, raster in reference.probe_spikes.items():
             assert np.array_equal(lazy.probe_spikes[name], raster)
 
-    @pytest.mark.parametrize("engine", ["batch", "event"], indirect=True)
-    def test_stochastic_system_still_spawns(self, monkeypatch, engine):
+    def test_stochastic_system_still_spawns(self, monkeypatch):
         from tests.engine_systems import CASES_BY_NAME, batched_inputs
 
         calls = self._counting_spawn(monkeypatch)
         case = CASES_BY_NAME["random_stochastic"]
         system = case.build()
         inputs = batched_inputs(system, case.ticks, 3, seed=2, density=0.3)
-        Simulator(system, rng=case.sim_seed, engine=engine).run_batch(
-            case.ticks, inputs
-        )
+        Simulator(system, rng=case.sim_seed).run_batch(case.ticks, inputs)
         assert calls == [3]

@@ -22,7 +22,6 @@ from repro.video import (
     synthesize_sequence,
 )
 
-from tests.engine_systems import engine_mode
 
 #: Toy geometry: 32x16 windows of 8-pixel cells -> (4, 2) window cells,
 #: pooled (4, 2) with 18 bins merged by 3 -> 6 features per window.
@@ -342,8 +341,8 @@ class TestFanOut:
 
 
 class TestEngineAndWorkerParity:
-    """NMS output must be bit-identical across engines, tick paths and
-    shard counts."""
+    """NMS output must be bit-identical across engines and shard
+    counts."""
 
     @staticmethod
     def _scorers():
@@ -379,9 +378,7 @@ class TestEngineAndWorkerParity:
             engine: self._keys(scorer, sequence)
             for engine, scorer in scorers.items()
         }
-        with engine_mode("event"):
-            keys["event"] = self._keys(scorers["batch"], sequence)
-        assert keys["reference"] == keys["batch"] == keys["event"]
+        assert keys["reference"] == keys["batch"]
         assert any(len(k) for k in keys["batch"])
 
     def test_workers_bit_identical(self):
