@@ -197,6 +197,11 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 
+#: Integers of smaller magnitude are exact in float32 (24-bit
+#: mantissa); the engine computes in float32 when every reachable value
+#: stays below it, and in float64 otherwise.
+_FLOAT32_EXACT = 2**23
+
 #: Ticks the hardware-counter log buffers before folding them into the
 #: run totals, which bounds its memory whatever the run length.
 _LOG_TICKS = 64
@@ -407,7 +412,9 @@ class BatchEngine:
                 "range; the batch engine cannot guarantee bit-identical "
                 "results — use the reference engine"
             )
-        self._dtype = np.float32 if bound + CORE_AXONS < 2**23 else np.float64
+        self._dtype = (
+            np.float32 if bound + CORE_AXONS < _FLOAT32_EXACT else np.float64
+        )
 
         # The fire *comparison* threshold; threshold drift faults shift
         # it while linear resets keep subtracting the configured one.

@@ -7,6 +7,8 @@ from repro.datasets import SyntheticPersonDataset
 from repro.experiments.setup import ExperimentData
 from repro.parrot import ParrotExtractor, train_parrot
 
+from tests.engine_systems import engine_mode
+
 
 @pytest.fixture(scope="session")
 def tiny_parrot():
@@ -40,6 +42,18 @@ def small_split():
         negative_images=dataset.negative_images(2, (160, 200)),
         test_scenes=dataset.test_scenes(6, (176, 224), max_people=1),
     )
+
+
+@pytest.fixture()
+def engine(request):
+    """The ``Simulator`` engine of an indirectly parametrized mode.
+
+    Parametrize with ``indirect=True`` over ``"reference"`` and
+    :data:`tests.engine_systems.BATCH_MODES`; a pinned mode stays in
+    force for the whole test.
+    """
+    with engine_mode(request.param) as name:
+        yield name
 
 
 @pytest.fixture()

@@ -10,8 +10,10 @@ their seed so the reference engine, the batch engine, and the checked-in
 golden traces all see the identical system.
 """
 
+import contextlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterator, Tuple
+from unittest import mock
 
 import numpy as np
 
@@ -22,18 +24,44 @@ from repro.corelets.library.pattern_match import (
     gradient_templates,
 )
 from repro.corelets.library.weighted_sum import NeuronMode, WeightedSumCorelet
+from repro.truenorth import engine as batch_engine
 from repro.truenorth.system import NeurosynapticSystem
 from repro.truenorth.types import NeuronParameters, ResetMode
 
-#: The compiled engines, each differentially tested against "reference".
-BATCH_MODES: Tuple[str, ...] = ("batch",)
+#: The ways the batch engine runs, each differentially tested against
+#: "reference". "batch" runs it as compiled. "wide" pins its arithmetic
+#: to float64, the dtype it compiles to when parameter magnitudes leave
+#: float32's exact range (no test system's do). "fold" folds its
+#: hardware-counter log after every tick instead of every
+#: ``_LOG_TICKS``, the path of runs longer than the buffer.
+BATCH_MODES: Tuple[str, ...] = ("batch", "wide", "fold")
 
-#: The reference and every compiled engine.
+#: The reference and every batch-engine mode.
 ALL_MODES: Tuple[str, ...] = ("reference",) + BATCH_MODES
+
+#: The engine-module constant each pinned mode patches, and its value:
+#: no magnitude is float32-exact below 0, and a 1-tick log folds each tick.
+_PINNED = {"wide": ("_FLOAT32_EXACT", 0), "fold": ("_LOG_TICKS", 1)}
 
 #: Input spike densities the conformance matrix sweeps: silent, sparse,
 #: realistic, dense, and saturated.
 DENSITIES: Tuple[float, ...] = (0.0, 0.01, 0.1, 0.5, 1.0)
+
+
+@contextlib.contextmanager
+def engine_mode(mode: str) -> Iterator[str]:
+    """Run the batch engine in ``mode`` for the block.
+
+    ``mode`` is ``"reference"`` or one of :data:`BATCH_MODES`; yields
+    the ``Simulator`` engine name to construct with. A pinned mode must
+    hold while the engine is built ("wide") and while it runs ("fold").
+    """
+    if mode not in _PINNED:
+        yield mode
+        return
+    name, value = _PINNED[mode]
+    with mock.patch.object(batch_engine, name, value):
+        yield "batch"
 
 
 @dataclass(frozen=True)
@@ -278,6 +306,7 @@ __all__ = [
     "ENGINE_CASES",
     "EngineCase",
     "batched_inputs",
+    "engine_mode",
     "random_system",
     "shared_inputs",
 ]

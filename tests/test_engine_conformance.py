@@ -5,7 +5,8 @@ tick-accurate reference simulator — the software analogue of the
 paper's >99.5 % HW/SW correlation methodology, tightened to exact
 equality. Every scenario in ``tests/engine_systems.py`` (corelet-built
 and randomized, deterministic and stochastic) runs through the batch
-engine at batch sizes 1, 7, and 32 with fixed seeds, across input
+engine three ways (``BATCH_MODES``: as compiled, float64 arithmetic
+pinned, counter log folded every tick) at batch sizes 1, 7, and 32 with fixed seeds, across input
 densities from all-silent to saturated, clean and under every fault
 kind, comparing full probe rasters, total spike counts, and the complete
 :class:`repro.obs.hwcounters.RunActivity` ledger against the reference.
@@ -43,6 +44,7 @@ from tests.engine_systems import (
     DENSITIES,
     ENGINE_CASES,
     batched_inputs,
+    engine_mode,
     random_system,
     shared_inputs,
 )
@@ -118,7 +120,7 @@ def assert_ledgers_identical(ref, got):
 
 
 class TestSingleRunConformance:
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_run_is_bit_identical(self, name, engine):
         case = _case(name)
@@ -132,7 +134,7 @@ class TestSingleRunConformance:
         got = compiled.run(case.ticks, inputs)
         assert_results_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize(
         "name", ["comparator", "random_stochastic", "sparse_wiring"]
     )
@@ -157,7 +159,7 @@ class TestDensityMatrix:
     """Engines agree at every input density, silent through saturated."""
 
     @pytest.mark.parametrize("density", DENSITIES)
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize(
         "name", ["pattern_match", "random_stochastic", "sparse_wiring"]
     )
@@ -175,7 +177,7 @@ class TestDensityMatrix:
 
 
 class TestBatchRunConformance:
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_run_batch_is_bit_identical(self, name, batch, engine):
@@ -192,7 +194,7 @@ class TestBatchRunConformance:
         assert ref.batch == got.batch == batch
         assert_results_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("name", ["weighted_sum", "random_stochastic"])
     def test_lane_equals_spawned_reference_run(self, name, engine):
         """Lane i of a batch run == a reference run seeded with spawn[i]."""
@@ -215,7 +217,7 @@ class TestBatchRunConformance:
                 np.testing.assert_array_equal(raster, single.probe_spikes[probe])
             assert ref.total_spikes == single.total_spikes
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_shared_raster_broadcasts_to_every_lane(self, engine):
         """A 2-D raster feeds every lane; deterministic lanes agree."""
         case = _case("accumulator")
@@ -226,7 +228,7 @@ class TestBatchRunConformance:
         for lane in range(1, 4):
             np.testing.assert_array_equal(raster[0], raster[lane])
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_stochastic_lanes_are_independent(self, engine):
         case = _case("single_core_stochastic")
         sim = Simulator(case.build(), rng=9, engine=engine)
@@ -250,7 +252,7 @@ class TestFaultConformance:
     hashing would show up here.
     """
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("plan_name", sorted(FAULT_PLANS))
     @pytest.mark.parametrize(
         "name", ["pattern_match", "random_stochastic", "sparse_wiring"]
@@ -272,7 +274,7 @@ class TestFaultConformance:
         got = compiled.run(case.ticks, inputs)
         assert_results_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_composite_plan_all_cases(self, name, engine):
         case = _case(name)
@@ -290,7 +292,7 @@ class TestFaultConformance:
         got = compiled.run(case.ticks, inputs)
         assert_results_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     @pytest.mark.parametrize("plan_name", ["drop", "composite"])
     def test_faulted_batch_run_is_bit_identical(self, plan_name, batch, engine):
@@ -310,7 +312,7 @@ class TestFaultConformance:
         got = vectorized.run_batch(case.ticks, inputs)
         assert_results_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_dynamic_fault_lanes_differ(self, engine):
         """Per-delivery faults are keyed by lane, so lanes de-correlate."""
         case = _case("pattern_match")
@@ -323,7 +325,7 @@ class TestFaultConformance:
             not np.array_equal(raster[0], raster[lane]) for lane in range(1, 4)
         )
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_static_faults_identical_across_lanes(self, engine):
         """Chip-level faults are lane-independent by definition."""
         case = _case("pattern_match")
@@ -361,7 +363,7 @@ class TestFaultConformance:
         # silence is the only conformant outcome.
         assert result.total_spikes == 0
 
-    @pytest.mark.parametrize("engine", ALL_MODES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     def test_faulted_same_seed_runs_identical(self, engine):
         case = _case("random_stochastic")
         plan = FAULT_PLANS["composite"]
@@ -410,14 +412,14 @@ class TestCounterParity:
         assert ref.activity is not None and got.activity is not None
         return ref.activity, got.activity
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_clean_counters_bit_identical(self, name, batch, engine):
         ref, got = self._activities(name, None, batch, engine)
         assert_ledgers_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("plan_name", sorted(FAULT_PLANS))
     def test_faulted_counters_bit_identical(self, plan_name, engine):
         ref, got = self._activities(
@@ -425,7 +427,7 @@ class TestCounterParity:
         )
         assert_ledgers_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("plan_name", sorted(FAULT_PLANS))
     def test_faulted_sparse_wiring_counters_bit_identical(self, plan_name, engine):
         """Faults on a partially wired system: compaction keeps the ledger."""
@@ -434,7 +436,7 @@ class TestCounterParity:
         )
         assert_ledgers_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_counters_of_runs_longer_than_the_log_buffer(self, engine):
         """The engine buffers its counters ``_LOG_TICKS`` ticks at a
         time. Each four-tick burst makes every core fire once and then
@@ -456,7 +458,7 @@ class TestCounterParity:
         assert_ledgers_identical(ref.activity, got.activity)
         assert got.activity.spikes_per_tick[:, log_ticks:].any()
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_spikes_field_matches_total_spikes(self, engine):
         case = _case("pattern_match")
         sim = Simulator(case.build(), rng=case.sim_seed, engine=engine)
@@ -468,7 +470,7 @@ class TestCounterParity:
             result.activity.spikes, result.total_spikes
         )
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_fault_hops_reconcile_with_engine_counters(self, engine):
         """dropped/duplicated lane sums == the engine's scalar counters."""
         case = _case("random_stochastic")
@@ -500,7 +502,7 @@ class TestCounterParity:
         )
         assert sim.run_batch(case.ticks, inputs).activity.engine == "reference"
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_lane_slices_match_single_lane_reference(self, engine):
         """activity.lane(i) of a batch run == lane i's reference ledger."""
         case = _case("weighted_sum")
@@ -520,6 +522,43 @@ class TestCounterParity:
             assert_ledgers_identical(
                 ref.activity, result.activity.lane(lane)
             )
+
+
+class TestPinnedModes:
+    """Each pinned mode takes the path it names, so its arms in the
+    conformance matrix test that path and not the compiled default."""
+
+    @pytest.mark.parametrize("name", ["weighted_sum", "random_stochastic"])
+    def test_wide_mode_computes_in_float64(self, name):
+        case = _case(name)
+        dtypes = {}
+        for mode in ("batch", "wide"):
+            with engine_mode(mode) as engine:
+                sim = Simulator(case.build(), rng=case.sim_seed, engine=engine)
+            dtypes[mode] = sim._batch_engine._dtype
+        assert dtypes == {"batch": np.float32, "wide": np.float64}
+
+    def test_fold_mode_folds_the_counter_log_every_tick(self, monkeypatch):
+        folds = []
+        fold = batch_engine._ActivityLog.fold
+
+        def counting_fold(log, stop):
+            folds.append(stop)
+            fold(log, stop)
+
+        monkeypatch.setattr(batch_engine._ActivityLog, "fold", counting_fold)
+        case = _case("pattern_match")
+        assert case.ticks < batch_engine._LOG_TICKS
+        expected = {"batch": [case.ticks], "fold": list(range(1, case.ticks + 1))}
+        for mode, stops in expected.items():
+            folds.clear()
+            with engine_mode(mode) as engine:
+                sim = Simulator(case.build(), rng=case.sim_seed, engine=engine)
+                inputs = shared_inputs(
+                    sim.system, case.ticks, case.input_seed, case.density
+                )
+                sim.run(case.ticks, inputs)
+            assert folds == stops, mode
 
 
 class TestEngineEdgeCases:
@@ -596,7 +635,7 @@ class TestCompaction:
         system.add_output_probe("out", [(0, n) for n in range(100, 200)])
         return system
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_faults_make_dead_neurons_live(self, engine):
         """Stuck-fire and drift faults wake unwired neurons: liveness is
         computed from the fault-effective arrays, not the clean ones."""
@@ -799,7 +838,7 @@ class TestDeterminism:
     from shared mutable generator state.
     """
 
-    @pytest.mark.parametrize("engine", ALL_MODES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     @pytest.mark.parametrize("name", ["random_stochastic", "single_core_stochastic"])
     def test_same_seed_runs_identical(self, name, engine):
         case = _case(name)
@@ -816,7 +855,7 @@ class TestDeterminism:
             np.testing.assert_array_equal(raster, results[1].probe_spikes[probe])
         assert results[0].total_spikes == results[1].total_spikes
 
-    @pytest.mark.parametrize("engine", ALL_MODES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     def test_same_seed_batch_runs_identical(self, engine):
         case = _case("random_stochastic")
         inputs = batched_inputs(
@@ -836,7 +875,7 @@ class TestDeterminism:
 
 
 class TestBatchApiValidation:
-    @pytest.mark.parametrize("engine", ALL_MODES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     def test_run_batch_rejects_reset_false(self, engine):
         case = _case("accumulator")
         sim = Simulator(case.build(), rng=0, engine=engine)
@@ -847,7 +886,7 @@ class TestBatchApiValidation:
         with pytest.raises(ValueError, match="engine"):
             Simulator(_case("accumulator").build(), engine="warp")
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_batch_size_must_be_inferable(self, engine):
         case = _case("accumulator")
         sim = Simulator(case.build(), rng=0, engine=engine)
@@ -877,7 +916,7 @@ class TestBatchApiValidation:
         with pytest.raises(ValueError, match="batch"):
             engine.run(2, {}, spawn_generators(0, 2), reset=False)
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_zero_ticks(self, engine):
         case = _case("accumulator")
         sim = Simulator(case.build(), rng=0, engine=engine)

@@ -57,7 +57,7 @@ def test_goldens_were_verified_against_every_registered_engine():
         )
 
 
-@pytest.mark.parametrize("engine", ALL_MODES)
+@pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
 @pytest.mark.parametrize(
     "path", GOLDEN_FILES, ids=[path.stem for path in GOLDEN_FILES]
 )

@@ -27,7 +27,12 @@ from repro.truenorth.energy import (
 )
 from repro.truenorth.simulator import Simulator
 
-from tests.engine_systems import CASES_BY_NAME, batched_inputs
+from tests.engine_systems import (
+    BATCH_MODES,
+    CASES_BY_NAME,
+    batched_inputs,
+    engine_mode,
+)
 
 
 def make_activity(batch=3, ticks=4, n_cores=2, engine="batch", seed=0):
@@ -251,19 +256,20 @@ class TestRecordRun:
         assert collector.runs == []
         assert self._saved.get("hw_spikes_total") is None
 
-    def test_disabled_engine_skips_the_ledger(self):
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
+    def test_disabled_engine_skips_the_ledger(self, engine):
         case = CASES_BY_NAME["pattern_match"]
         inputs = batched_inputs(
             case.build(), case.ticks, 2, case.input_seed, case.density
         )
         hwcounters.configure(False)
-        off = Simulator(case.build(), rng=case.sim_seed).run_batch(
-            case.ticks, inputs
-        )
+        off = Simulator(
+            case.build(), rng=case.sim_seed, engine=engine
+        ).run_batch(case.ticks, inputs)
         hwcounters.configure(True)
-        on = Simulator(case.build(), rng=case.sim_seed).run_batch(
-            case.ticks, inputs
-        )
+        on = Simulator(
+            case.build(), rng=case.sim_seed, engine=engine
+        ).run_batch(case.ticks, inputs)
         assert off.activity is None
         assert on.activity is not None
         # The ledger is telemetry: switching it off must not change
@@ -282,20 +288,26 @@ class TestParrotEnergyParity:
         network, _, _ = tiny_parrot
         cells = np.random.default_rng(11).random((4, 64))
         energies = {}
-        for engine in ("batch", "reference"):
-            extractor = ParrotExtractor(
-                network,
-                ParrotFeatureConfig(spikes=4),
-                rng=7,
-                backend="truenorth",
-                engine=engine,
-            )
-            with hwcounters.collect() as collector:
-                extractor.cell_histograms_batch(cells)
-            energies[engine] = collector.lane_energy_joules()
-        for engine, joules in energies.items():
-            assert joules.shape == (4,), engine
-            assert np.all(joules > 0), engine
+        for mode in ("reference",) + BATCH_MODES:
+            with engine_mode(mode) as engine:
+                extractor = ParrotExtractor(
+                    network,
+                    ParrotFeatureConfig(spikes=4),
+                    rng=7,
+                    backend="truenorth",
+                    engine=engine,
+                )
+                with hwcounters.collect() as collector:
+                    extractor.cell_histograms_batch(cells)
+            energies[mode] = collector.lane_energy_joules()
+        for mode, joules in energies.items():
+            assert joules.shape == (4,), mode
+            assert np.all(joules > 0), mode
+        # Every batch-engine mode fills one ledger implementation and is
+        # counter-parity tested bit for bit, so their derived energies
+        # must agree exactly, not just within tolerance.
+        for mode in BATCH_MODES:
+            np.testing.assert_array_equal(energies[mode], energies["batch"])
         np.testing.assert_allclose(
             energies["batch"], energies["reference"], rtol=0.01
         )

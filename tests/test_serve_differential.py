@@ -24,6 +24,12 @@ from repro.serve import (
     random_patch_rows,
 )
 
+from tests.engine_systems import BATCH_MODES, engine_mode
+
+#: The batch-engine modes that pin a path the test systems would not
+#: otherwise take (see ``tests/engine_systems.py``).
+PINNED_MODES = [mode for mode in BATCH_MODES if mode != "batch"]
+
 
 def _small_scorer(coding="content", engine="batch"):
     network = EednNetwork(
@@ -96,6 +102,80 @@ class TestScorerDifferential:
         assert not scorer.cacheable
         service = InferenceService(scorer, cache_capacity=128)
         assert service.cache is None
+
+
+@pytest.mark.parametrize("mode", PINNED_MODES)
+class TestPinnedModeDifferential:
+    """The batch engine's pinned modes through the serving stack.
+
+    With float64 arithmetic or a per-tick counter-log fold pinned,
+    served scores, cache hits, and attributed energy must match the
+    engine as compiled byte for byte: the dtype and the ledger's
+    buffering are implementation details the serving layer and its
+    cache must be unable to observe.
+    """
+
+    def test_served_scores_bit_identical_to_batch(self, mode):
+        rows = np.random.default_rng(5).random((30, 8))
+        direct = _small_scorer().decision_function(rows)
+        with engine_mode(mode), InferenceService(
+            _small_scorer(), max_batch_size=8, max_wait_ms=1.0
+        ) as svc:
+            served = svc.score_many(rows)
+        np.testing.assert_array_equal(direct, served)
+
+    def test_cache_hits_are_bit_identical(self, mode):
+        rows = np.random.default_rng(6).random((10, 8))
+        duplicated = np.vstack([rows, rows, rows])
+        direct = _small_scorer().decision_function(duplicated)
+        with engine_mode(mode), InferenceService(
+            _small_scorer(), max_batch_size=4
+        ) as svc:
+            svc.score_many(rows)  # warm the cache deterministically
+            served = svc.score_many(duplicated)
+            assert svc.stats.counter("cache_hits") == 30
+        np.testing.assert_array_equal(direct, served)
+
+    def test_served_energy_attribution_matches_batch(self, mode):
+        """The service's per-request energy ledger agrees exactly.
+
+        Counter parity makes the per-lane ledgers bit-identical and
+        per-lane energy is independent of micro-batch composition, so
+        the attributed totals must match to the bit.
+        """
+        rows = np.random.default_rng(8).random((12, 8))
+        totals = {}
+        for run_mode in ("batch", mode):
+            with engine_mode(run_mode), InferenceService(
+                _small_scorer(), max_batch_size=4, max_wait_ms=1.0
+            ) as svc:
+                svc.score_many(rows)
+                snapshot = svc.stats.snapshot()
+            assert snapshot["energy_nj"]["count"] == len(rows)
+            totals[run_mode] = snapshot["energy_nj"]["total"]
+        assert totals["batch"] > 0
+        assert totals[mode] == totals["batch"]
+
+    def test_detector_through_service_matches_batch(self, mode):
+        image = np.random.default_rng(9).random((40, 40))
+
+        def build(active_scorer):
+            return SlidingWindowDetector(
+                _TinyExtractor(),
+                active_scorer,
+                feature_mode="cells",
+                window_shape=(16, 16),
+                score_threshold=-1e9,
+                chunk_size=5,
+            )
+
+        direct = build(_small_scorer()).detect(image)
+        with engine_mode(mode), InferenceService(
+            _small_scorer(), max_batch_size=8, max_wait_ms=1.0
+        ) as svc:
+            served = build(ServiceBackedScorer(svc)).detect(image)
+        assert direct == served
+        assert len(direct) > 0
 
 
 class TestDetectorDifferential:

@@ -3,7 +3,7 @@
 The scale-out tier routes spikes between simulated chips, so the
 activity ledgers must split router traffic into intra- vs cross-chip
 hops — and the split must be *bit-identical* across the reference and
-the batch engine, clean and under routing faults, because the
+every batch-engine mode, clean and under routing faults, because the
 sharded serving tier re-records worker ledgers as if they were local.
 
 Invariants under test:
@@ -89,7 +89,7 @@ class TestChipAssignment:
 
 
 class TestHopSplitSemantics:
-    @pytest.mark.parametrize("engine", ALL_MODES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     def test_single_chip_has_zero_cross_hops(self, engine):
         system = _chain_system()
         sim = Simulator(system, rng=123, engine=engine)
@@ -100,7 +100,7 @@ class TestHopSplitSemantics:
             activity.intra_chip_hops, activity.router_hops
         )
 
-    @pytest.mark.parametrize("engine", ALL_MODES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     def test_one_core_per_chip_makes_every_hop_cross(self, engine):
         sim, _ = _placed_sim(engine, cores_per_chip=1)
         inputs = shared_inputs(sim.system, TICKS, 7, 0.3)
@@ -111,7 +111,7 @@ class TestHopSplitSemantics:
         )
         assert int(activity.intra_chip_hops.sum()) == 0
 
-    @pytest.mark.parametrize("engine", ALL_MODES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     @pytest.mark.parametrize("fault", sorted(FAULT_PLANS))
     def test_split_sums_to_router_hops(self, engine, fault):
         sim, _ = _placed_sim(engine, cores_per_chip=2, faults=FAULT_PLANS[fault])
@@ -136,7 +136,7 @@ class TestHopSplitSemantics:
 class TestCrossEngineConformance:
     """The multi-chip ledgers join the bit-identity contract."""
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     @pytest.mark.parametrize("fault", sorted(FAULT_PLANS))
     def test_hop_split_matches_reference(self, engine, fault):
         ref_sim, _ = _placed_sim(
@@ -157,7 +157,7 @@ class TestCrossEngineConformance:
                 err_msg=f"{field} ({engine}, {fault})",
             )
 
-    @pytest.mark.parametrize("engine", BATCH_MODES)
+    @pytest.mark.parametrize("engine", BATCH_MODES, indirect=True)
     def test_batched_hop_split_matches_reference(self, engine):
         batch = 5
         ref_sim, _ = _placed_sim("reference", cores_per_chip=2)
@@ -172,7 +172,7 @@ class TestCrossEngineConformance:
                 err_msg=field,
             )
 
-    @pytest.mark.parametrize("engine", ALL_MODES)
+    @pytest.mark.parametrize("engine", ALL_MODES, indirect=True)
     def test_placement_does_not_change_results(self, engine):
         """Chip assignment is pure accounting: spikes are untouched."""
         unplaced = Simulator(_chain_system(), rng=123, engine=engine)
